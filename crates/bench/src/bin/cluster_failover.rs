@@ -4,9 +4,13 @@
 //! [`SESSIONS`] live detection sessions across it, streams one batch
 //! through every session, then kills one shard with no warning and
 //! drives every session through a post-kill batch — the victim's
-//! sessions fail over (promote the ring successor's replica, or
-//! restore the client checkpoint, then replay) on first touch, so
-//! each one's recovery is individually timed.
+//! sessions fail over on first touch, so each one's recovery is
+//! individually timed. The router checkpoints every session after its
+//! first batch (a fresh checkpoint carries no payload, so the first
+//! batch always reaches it), the shard replicates that checkpoint,
+//! and replication is flushed before the kill: every failover finds
+//! the replica at the router's progress point and adopts it. The
+//! report breaks the failovers down by recovery branch.
 //!
 //! The report records the per-session failover latency distribution
 //! (p50/p99/max) and — the property the whole subsystem exists for —
@@ -200,6 +204,7 @@ fn main() -> ExitCode {
         .map(|m| m.failovers)
         .sum();
 
+    let recoveries = client.recoveries();
     let report = Json::Obj(vec![
         ("bench".into(), Json::str("cluster_failover")),
         ("sessions".into(), Json::Int(sessions as u64)),
@@ -208,6 +213,14 @@ fn main() -> ExitCode {
         ("victim_shard".into(), Json::Int(victim as u64)),
         ("victim_sessions".into(), Json::Int(victim_count as u64)),
         ("failovers".into(), Json::Int(client.failovers())),
+        (
+            "recoveries".into(),
+            Json::Obj(vec![
+                ("adopted".into(), Json::Int(recoveries.adopted)),
+                ("replayed".into(), Json::Int(recoveries.replayed)),
+                ("restored".into(), Json::Int(recoveries.restored)),
+            ]),
+        ),
         (
             "promotions_on_survivors".into(),
             Json::Int(survivor_failovers),

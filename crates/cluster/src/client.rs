@@ -8,31 +8,53 @@
 //! is where the server replicates snapshots — and therefore where the
 //! client promotes when the primary dies.
 //!
+//! # Checkpoints and the tick log
+//!
+//! Per session the client keeps its last **checkpoint** (a
+//! `SnapshotSession` state) and a **log** of the ticks delivered
+//! since: checkpoint plus log is the session's state at the client's
+//! **progress point** (`checkpoint.next_seq` + logged ticks),
+//! wherever the session lives. A delivered batch is appended to the
+//! log, and a fresh checkpoint is taken only once the log's f64 count
+//! reaches the checkpoint's own: the log stays below one checkpoint's
+//! payload plus one batch, so replaying it costs about what shipping
+//! a checkpoint does, and the cadence needs no tuning. The servers
+//! replicate exactly the snapshots they return for `SnapshotSession`,
+//! so a replica is always a checkpoint this client took (or one whose
+//! reply it lost), never a cut between two of them.
+//!
 //! # Why a resumed stream is byte-identical
 //!
-//! After every delivered batch the client snapshots the session and
-//! keeps the state as its **checkpoint** — the same discipline as
-//! [`awsad_serve::ReconnectingClient`], one level up. When a call
-//! hits a transport failure (the wire client's poisoned fail-fast),
-//! the shard is declared dead and the interrupted batch is replayed
-//! on a fresh session seeded with state at exactly the client's
-//! progress point:
+//! When a call hits a transport failure (the wire client's poisoned
+//! fail-fast) the shard is declared dead, and the session is rebuilt
+//! on the pinned backup at exactly the client's progress point before
+//! the interrupted batch is delivered there. `PromoteSession` decides
+//! how:
 //!
-//! * if the promoted replica's `next_seq` equals the checkpoint's,
-//!   the replica *is* the checkpoint (both were cut after the same
-//!   batch of a deterministic pipeline) and is used directly;
-//! * otherwise — the replica lagged, ran ahead because the server
-//!   applied the in-flight batch before dying, or never existed —
-//!   the promoted session is discarded and the client restores from
-//!   its own checkpoint.
+//! 1. the replica is **at progress** (the checkpoint reply after the
+//!    last batch was lost after the server replicated it, or the log
+//!    is empty) — adopt it and clear the log;
+//! 2. the replica **is the checkpoint** — keep it and replay the log;
+//! 3. the replica is **older** (replication lagged or shed it), or
+//!    promotion answers `UnknownSession` (none ever arrived: a fresh
+//!    session is never replicated) — close any promoted session,
+//!    `RestoreSession` the checkpoint and replay the log.
 //!
-//! Either way the replayed batch starts from the bit-exact state the
-//! dead shard held after the last *delivered* batch, and the detector
+//! A replica also has to carry the checkpoint's recalibration count,
+//! so a cut from before a model swap at the same `next_seq` is never
+//! mistaken for one after it. A replica can never run ahead of
+//! progress: the server replicates only on `SnapshotSession`, so a
+//! batch it applied but whose reply was lost is never replicated.
+//!
+//! Either way the rebuilt session holds the bit-exact state the dead
+//! shard held after the last *delivered* batch, and the detector
 //! pipeline is deterministic, so the outcomes the caller sees are the
 //! ones the dead shard would have produced. Duplicated server-side
 //! work is possible (the dead shard may have applied the batch before
-//! dying); duplicated or lost *caller-visible* outcomes are not.
+//! dying, and replayed ticks are stepped again); duplicated or lost
+//! *caller-visible* outcomes are not.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -90,25 +112,168 @@ pub struct ClusterSession {
     pub input_dim: usize,
 }
 
-/// Where one session currently lives.
+/// How the failovers so far rebuilt their sessions, one count per
+/// branch of the promotion decision (module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Recoveries {
+    /// The promoted replica was at the client's progress point and was
+    /// adopted as is.
+    pub adopted: u64,
+    /// The promoted replica was the client's checkpoint; the tick log
+    /// was replayed onto it.
+    pub replayed: u64,
+    /// No usable replica (none arrived, or an older cut): the
+    /// checkpoint was restored and the tick log replayed onto it.
+    pub restored: u64,
+}
+
+impl Recoveries {
+    /// Failovers of every branch together.
+    pub fn total(&self) -> u64 {
+        self.adopted + self.replayed + self.restored
+    }
+}
+
+impl std::ops::AddAssign for Recoveries {
+    fn add_assign(&mut self, other: Recoveries) {
+        self.adopted += other.adopted;
+        self.replayed += other.replayed;
+        self.restored += other.restored;
+    }
+}
+
+/// Where one session currently lives, and what rebuilds it elsewhere.
 struct Route {
     spec: SessionSpec,
     /// Current primary shard.
     shard: u32,
     /// Session id on that shard.
     remote: u64,
-    /// State after the last delivered batch — the replay seed.
+    /// The session's tick dimensions (state estimate, input).
+    state_dim: usize,
+    input_dim: usize,
+    /// The last checkpoint — the restore seed.
     checkpoint: WireSessionState,
+    /// The f64 values `checkpoint` retains ([`payload`]).
+    budget: usize,
+    /// Ticks delivered since `checkpoint`, flattened: each tick's
+    /// estimate, then its input. Its capacity is kept across
+    /// checkpoints, so a steady session logs without allocating.
+    log: Vec<f64>,
     /// Promotion target captured at the instant the primary was
     /// declared dead (computed on the ring the primary replicated
     /// by, so it names the member actually holding the replica).
     backup: Option<u32>,
 }
 
+impl Route {
+    /// f64 values one tick takes in the log.
+    fn stride(&self) -> usize {
+        self.state_dim + self.input_dim
+    }
+
+    /// Ticks in the log.
+    fn logged(&self) -> u64 {
+        (self.log.len() / self.stride()) as u64
+    }
+
+    /// The `next_seq` of the session at the client's progress point.
+    fn progress(&self) -> u64 {
+        self.checkpoint.next_seq + self.logged()
+    }
+
+    /// Appends a delivered batch to the log. The capacity grows to
+    /// exactly what the log has needed, never to a doubling of it.
+    fn append(&mut self, ticks: &[WireTick]) {
+        self.log.reserve_exact(ticks.len() * self.stride());
+        for tick in ticks {
+            self.log.extend_from_slice(&tick.estimate);
+            self.log.extend_from_slice(&tick.input);
+        }
+    }
+
+    /// Whether the log has reached the checkpoint's payload, so a
+    /// fresh checkpoint is cheaper than carrying the log further.
+    fn due(&self) -> bool {
+        self.log.len() >= self.budget
+    }
+
+    /// Stores a state at the progress point as the new checkpoint and
+    /// empties the log.
+    fn set_checkpoint(&mut self, state: WireSessionState) {
+        self.budget = payload(&state);
+        self.checkpoint = state;
+        self.log.clear();
+    }
+
+    /// The log as one batch, for replay.
+    fn log_ticks(&self) -> Vec<WireTick> {
+        self.log
+            .chunks_exact(self.stride())
+            .map(|tick| WireTick {
+                estimate: tick[..self.state_dim].to_vec(),
+                input: tick[self.state_dim..].to_vec(),
+            })
+            .collect()
+    }
+}
+
+/// The f64 values a session state carries: every retained entry's
+/// estimate, input, prediction and residual, plus the recalibrated
+/// matrices.
+fn payload(state: &WireSessionState) -> usize {
+    let entries: usize = state
+        .entries
+        .iter()
+        .map(|e| {
+            e.estimate.len()
+                + e.input.len()
+                + e.prediction.as_ref().map_or(0, Vec::len)
+                + e.residual.len()
+        })
+        .sum();
+    entries
+        + state
+            .recalibration
+            .as_ref()
+            .map_or(0, |r| r.a.len() + r.b.len())
+}
+
+/// Accepted model swaps a state carries.
+fn recalibrations(state: &WireSessionState) -> u64 {
+    state.recalibration.as_ref().map_or(0, |r| r.count)
+}
+
 /// Whether a wire-client error means the connection (and presumably
 /// the shard) is gone, as opposed to a well-framed server verdict.
 fn transport_failure(e: &ClientError) -> bool {
     !matches!(e, ClientError::Server { .. })
+}
+
+/// The connection to `shard`, opened on demand. A free function so
+/// callers can hold a route and a connection at once.
+fn connect<'a>(
+    conns: &'a mut HashMap<u32, Client>,
+    ring: &HashRing,
+    shard: u32,
+) -> std::result::Result<&'a mut Client, ClientError> {
+    match conns.entry(shard) {
+        Entry::Occupied(conn) => Ok(conn.into_mut()),
+        Entry::Vacant(slot) => {
+            let addr = ring.addr_of(shard).ok_or(ClientError::Closed)?;
+            Ok(slot.insert(Client::connect(addr)?))
+        }
+    }
+}
+
+/// Replays `route`'s log onto `session`, bringing it from the
+/// checkpoint to the progress point. The outcomes were delivered
+/// before, so they are dropped.
+fn replay(conn: &mut Client, session: u64, route: &Route) -> std::result::Result<(), ClientError> {
+    if !route.log.is_empty() {
+        conn.tick_batch(session, &route.log_ticks())?;
+    }
+    Ok(())
 }
 
 /// The consistent-hash session router. See the module docs for the
@@ -118,7 +283,7 @@ pub struct ClusterClient {
     conns: HashMap<u32, Client>,
     routes: HashMap<u64, Route>,
     next_key: u64,
-    failovers: u64,
+    recoveries: Recoveries,
 }
 
 impl ClusterClient {
@@ -130,7 +295,7 @@ impl ClusterClient {
             conns: HashMap::new(),
             routes: HashMap::new(),
             next_key: 1,
-            failovers: 0,
+            recoveries: Recoveries::default(),
         }
     }
 
@@ -146,7 +311,12 @@ impl ClusterClient {
 
     /// How many sessions have been failed over to a backup so far.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.recoveries.total()
+    }
+
+    /// The failovers so far, by how each rebuilt its session.
+    pub fn recoveries(&self) -> Recoveries {
+        self.recoveries
     }
 
     /// The shard currently serving cluster key `key`.
@@ -156,23 +326,20 @@ impl ClusterClient {
 
     /// The connection to `shard`, opened on demand.
     fn conn(&mut self, shard: u32) -> std::result::Result<&mut Client, ClientError> {
-        if !self.conns.contains_key(&shard) {
-            let addr = self
-                .ring
-                .addr_of(shard)
-                .ok_or(ClientError::Closed)?
-                .to_string();
-            self.conns.insert(shard, Client::connect(addr.as_str())?);
-        }
-        Ok(self
-            .conns
-            .get_mut(&shard)
-            .expect("connection just inserted"))
+        connect(&mut self.conns, &self.ring, shard)
+    }
+
+    fn route(&self, key: u64) -> Result<&Route> {
+        self.routes
+            .get(&key)
+            .ok_or(ClusterError::UnknownSession(key))
     }
 
     /// Opens a session: the cluster key's ring position picks the
     /// primary, and an immediate snapshot seeds the checkpoint so the
-    /// session can fail over before its first batch.
+    /// session can fail over before its first batch. The servers do
+    /// not replicate this fresh state; a backup rebuilds it from the
+    /// spec through this checkpoint.
     ///
     /// # Errors
     ///
@@ -191,7 +358,11 @@ impl ClusterClient {
                 spec: spec.clone(),
                 shard,
                 remote: session.id,
+                state_dim: session.state_dim,
+                input_dim: session.input_dim,
+                budget: payload(&checkpoint),
                 checkpoint,
+                log: Vec::new(),
                 backup: None,
             },
         );
@@ -202,10 +373,17 @@ impl ClusterClient {
         })
     }
 
-    /// Streams one batch through the session's primary, checkpointing
-    /// after delivery. A transport failure declares the primary dead
-    /// and transparently replays the batch on the backup — the
-    /// returned outcomes are byte-identical either way (module docs).
+    /// Streams one batch through the session's primary and logs it;
+    /// once the log has reached the checkpoint's payload the batch is
+    /// followed by a fresh checkpoint. A transport failure declares
+    /// the primary dead and transparently delivers the batch on the
+    /// backup, rebuilt at the client's progress point — the returned
+    /// outcomes are byte-identical either way (module docs).
+    ///
+    /// A delivered batch's outcomes are always returned. When the
+    /// checkpoint after it fails on the transport, the primary is
+    /// declared dead and the session fails over on its next call, like
+    /// every other session of that shard: the log carries the batch.
     ///
     /// # Errors
     ///
@@ -214,30 +392,28 @@ impl ClusterClient {
     /// [`ClusterError::Client`]; failover exhaustion (no surviving
     /// member) as [`ClusterError::NoShards`].
     pub fn tick_batch(&mut self, key: u64, ticks: &[WireTick]) -> Result<Vec<WireOutcome>> {
-        let (shard, remote) = {
-            let route = self
-                .routes
-                .get(&key)
-                .ok_or(ClusterError::UnknownSession(key))?;
-            (route.shard, route.remote)
-        };
-        if self.ring.addr_of(shard).is_some() {
-            match self.try_batch(shard, remote, ticks) {
-                Ok((outcomes, checkpoint)) => {
-                    self.routes
-                        .get_mut(&key)
-                        .expect("route present above")
-                        .checkpoint = checkpoint;
-                    return Ok(outcomes);
-                }
+        let shard = self.route(key)?.shard;
+        let delivered = if self.ring.addr_of(shard).is_some() {
+            match self.send_batch(key, ticks) {
+                Ok(outcomes) => Some(outcomes),
                 Err(e) if transport_failure(&e) => {
-                    // Fall through to failover.
+                    self.fail_shard(shard);
+                    None
                 }
                 Err(e) => return Err(e.into()),
             }
-            self.fail_shard(shard);
-        }
-        self.failover_and_replay(key, ticks)
+        } else {
+            None
+        };
+        let outcomes = match delivered {
+            Some(outcomes) => outcomes,
+            None => {
+                self.failover(key)?;
+                self.send_batch(key, ticks)?
+            }
+        };
+        self.log_delivered(key, ticks);
+        Ok(outcomes)
     }
 
     /// One tick, as a batch of one.
@@ -254,20 +430,39 @@ impl ClusterClient {
         Ok(outcomes.pop().expect("one outcome per tick"))
     }
 
-    /// The deliver-then-checkpoint unit: only when both round trips
-    /// succeed is the batch considered delivered. On any transport
-    /// failure the whole unit is re-run on the backup, which by
-    /// determinism reproduces the identical outcomes.
-    fn try_batch(
+    /// Sends `ticks` to the session's current primary.
+    fn send_batch(
         &mut self,
-        shard: u32,
-        remote: u64,
+        key: u64,
         ticks: &[WireTick],
-    ) -> std::result::Result<(Vec<WireOutcome>, WireSessionState), ClientError> {
-        let conn = self.conn(shard)?;
-        let outcomes = conn.tick_batch(remote, ticks)?;
-        let checkpoint = conn.snapshot_session(remote)?;
-        Ok((outcomes, checkpoint))
+    ) -> std::result::Result<Vec<WireOutcome>, ClientError> {
+        let route = self.routes.get(&key).expect("caller checked the route");
+        let (shard, remote) = (route.shard, route.remote);
+        self.conn(shard)?.tick_batch(remote, ticks)
+    }
+
+    /// Logs a delivered batch and checkpoints when the log is due. A
+    /// failed checkpoint keeps the previous one and the log, which
+    /// still describe the session; a transport failure also declares
+    /// the primary dead.
+    fn log_delivered(&mut self, key: u64, ticks: &[WireTick]) {
+        let Self {
+            ring,
+            conns,
+            routes,
+            ..
+        } = self;
+        let route = routes.get_mut(&key).expect("caller checked the route");
+        route.append(ticks);
+        if !route.due() {
+            return;
+        }
+        let shard = route.shard;
+        match connect(conns, ring, shard).and_then(|c| c.snapshot_session(route.remote)) {
+            Ok(state) => route.set_checkpoint(state),
+            Err(e) if transport_failure(&e) => self.fail_shard(shard),
+            Err(_) => {}
+        }
     }
 
     /// Declares `dead` gone: drops its connection, pins every
@@ -308,81 +503,77 @@ impl ClusterClient {
         }
     }
 
-    /// Moves the session to its pinned backup and replays `ticks`
-    /// there. Promotion of the replica is the fast path; any replica
-    /// position other than the client's own progress point falls back
-    /// to restoring the checkpoint.
-    fn failover_and_replay(&mut self, key: u64, ticks: &[WireTick]) -> Result<Vec<WireOutcome>> {
-        let (dead, old_remote, spec, checkpoint, backup) = {
-            let route = self
-                .routes
-                .get(&key)
-                .ok_or(ClusterError::UnknownSession(key))?;
-            (
-                route.shard,
-                route.remote,
-                route.spec.clone(),
-                route.checkpoint.clone(),
-                route.backup,
-            )
-        };
-        let target = backup.ok_or(ClusterError::NoShards)?;
-        let rk = replica_key(dead, old_remote);
-        let conn = self.conn(target)?;
-        let (remote, state) = match conn.promote_session(rk) {
-            Ok((id, state)) if state.next_seq == checkpoint.next_seq => (id, state),
-            Ok((id, _ahead_or_behind)) => {
-                // The replica is not at the client's progress point:
-                // it lagged, or the primary applied the in-flight
-                // batch before dying. Replaying from it would skip or
-                // repeat outcomes, so discard it and seed from the
-                // client's own checkpoint.
-                conn.close_session(id)?;
-                let restored = conn.restore_session(&spec, &checkpoint)?;
-                (restored.id, checkpoint.clone())
-            }
+    /// Moves the session to its pinned backup, rebuilt at the client's
+    /// progress point by one of the three branches of the module docs.
+    /// The route switches to the backup only once the rebuilt session
+    /// is at progress, so a failure part-way leaves it pinned to the
+    /// dead shard and the next call retries.
+    fn failover(&mut self, key: u64) -> Result<()> {
+        let Self {
+            ring,
+            conns,
+            routes,
+            recoveries,
+            ..
+        } = self;
+        let route = routes
+            .get_mut(&key)
+            .ok_or(ClusterError::UnknownSession(key))?;
+        let target = route.backup.ok_or(ClusterError::NoShards)?;
+        let conn = connect(conns, ring, target)?;
+        let promoted = match conn.promote_session(replica_key(route.shard, route.remote)) {
+            Ok(promoted) => Some(promoted),
+            // No replica ever arrived (replication is best-effort,
+            // and a fresh session is never replicated).
             Err(ClientError::Server {
                 code: ErrorCode::UnknownSession,
                 ..
-            }) => {
-                // No replica ever arrived (replication is
-                // best-effort); the checkpoint alone carries the
-                // session over.
-                let restored = conn.restore_session(&spec, &checkpoint)?;
-                (restored.id, checkpoint.clone())
-            }
+            }) => None,
             Err(e) => return Err(e.into()),
         };
-        {
-            let route = self.routes.get_mut(&key).expect("route present above");
-            route.shard = target;
-            route.remote = remote;
-            route.checkpoint = state;
-            route.backup = None;
-        }
-        self.failovers += 1;
-        if ticks.is_empty() {
-            return Ok(Vec::new());
-        }
-        let conn = self.conn(target)?;
-        let outcomes = conn.tick_batch(remote, ticks)?;
-        let checkpoint = conn.snapshot_session(remote)?;
-        self.routes
-            .get_mut(&key)
-            .expect("route present above")
-            .checkpoint = checkpoint;
-        Ok(outcomes)
+        let recalibrated = recalibrations(&route.checkpoint);
+        let remote = match promoted {
+            Some((id, state))
+                if recalibrations(&state) == recalibrated && state.next_seq == route.progress() =>
+            {
+                route.set_checkpoint(state);
+                recoveries.adopted += 1;
+                id
+            }
+            Some((id, state))
+                if recalibrations(&state) == recalibrated
+                    && state.next_seq == route.checkpoint.next_seq =>
+            {
+                replay(conn, id, route)?;
+                recoveries.replayed += 1;
+                id
+            }
+            promoted => {
+                // An older cut: replaying from it would need ticks the
+                // log no longer holds, so discard it.
+                if let Some((id, _)) = promoted {
+                    conn.close_session(id)?;
+                }
+                let id = conn.restore_session(&route.spec, &route.checkpoint)?.id;
+                replay(conn, id, route)?;
+                recoveries.restored += 1;
+                id
+            }
+        };
+        route.shard = target;
+        route.remote = remote;
+        route.backup = None;
+        Ok(())
     }
 
     /// Swaps the session's plant model in place on its primary and
-    /// checkpoints the recalibrated state, so a later failover
-    /// resumes under the new model. A transport failure mid-call
-    /// fails the primary over and retries once on the backup; if the
-    /// dead primary already applied the swap and its replica landed,
-    /// the retry re-applies it — the returned recalibration count may
-    /// then exceed the caller's expectation by one, but the detector
-    /// state (and therefore the outcome stream) is identical either
-    /// way.
+    /// checkpoints the recalibrated state (emptying the log), so a
+    /// later failover resumes under the new model. A transport
+    /// failure mid-call fails the primary over and re-issues the swap
+    /// once on the backup. The swap is never replicated on its own and
+    /// a replica must match the checkpoint's recalibration count, so
+    /// the rebuilt session is always the pre-swap one and the returned
+    /// count is the one an uninterrupted call returns.
     ///
     /// # Errors
     ///
@@ -397,75 +588,51 @@ impl ClusterClient {
         a: &[f64],
         b: &[f64],
     ) -> Result<u64> {
-        let (shard, remote) = {
-            let route = self
-                .routes
-                .get(&key)
-                .ok_or(ClusterError::UnknownSession(key))?;
-            (route.shard, route.remote)
-        };
+        let shard = self.route(key)?.shard;
         if self.ring.addr_of(shard).is_some() {
-            match self.try_recalibrate(shard, remote, state_dim, input_dim, a, b) {
-                Ok((count, checkpoint)) => {
-                    self.routes
-                        .get_mut(&key)
-                        .expect("route present above")
-                        .checkpoint = checkpoint;
-                    return Ok(count);
-                }
-                Err(e) if transport_failure(&e) => {
-                    // Fall through to failover.
-                }
+            match self.try_recalibrate(key, state_dim, input_dim, a, b) {
+                Ok(count) => return Ok(count),
+                Err(e) if transport_failure(&e) => self.fail_shard(shard),
                 Err(e) => return Err(e.into()),
             }
-            self.fail_shard(shard);
         }
-        // Move the session to its backup (replaying nothing — the
-        // interrupted call carried no ticks), then re-issue the swap
-        // against the promoted or restored session.
-        self.failover_and_replay(key, &[])?;
-        let (shard, remote) = {
-            let route = self.routes.get(&key).expect("route survived failover");
-            (route.shard, route.remote)
-        };
-        let (count, checkpoint) =
-            self.try_recalibrate(shard, remote, state_dim, input_dim, a, b)?;
-        self.routes
-            .get_mut(&key)
-            .expect("route present above")
-            .checkpoint = checkpoint;
-        Ok(count)
+        self.failover(key)?;
+        Ok(self.try_recalibrate(key, state_dim, input_dim, a, b)?)
     }
 
-    /// The swap-then-checkpoint unit, mirroring [`Self::try_batch`]:
-    /// only when both round trips succeed is the recalibration
-    /// considered delivered.
+    /// The swap-then-checkpoint unit: only when both round trips
+    /// succeed is the recalibration considered delivered (the log
+    /// cannot carry a swap).
     fn try_recalibrate(
         &mut self,
-        shard: u32,
-        remote: u64,
+        key: u64,
         state_dim: u32,
         input_dim: u32,
         a: &[f64],
         b: &[f64],
-    ) -> std::result::Result<(u64, WireSessionState), ClientError> {
-        let conn = self.conn(shard)?;
-        let count = conn.recalibrate(remote, state_dim, input_dim, a, b)?;
-        let checkpoint = conn.snapshot_session(remote)?;
-        Ok((count, checkpoint))
+    ) -> std::result::Result<u64, ClientError> {
+        let Self {
+            ring,
+            conns,
+            routes,
+            ..
+        } = self;
+        let route = routes.get_mut(&key).expect("caller checked the route");
+        let conn = connect(conns, ring, route.shard)?;
+        let count = conn.recalibrate(route.remote, state_dim, input_dim, a, b)?;
+        route.set_checkpoint(conn.snapshot_session(route.remote)?);
+        Ok(count)
     }
 
-    /// The session's state after the last delivered batch (no round
-    /// trip — this is the client-held checkpoint).
+    /// The session's last checkpoint (no round trip — this is the
+    /// client-held restore seed). It trails the session by the ticks
+    /// logged since, at most one checkpoint's payload plus one batch.
     ///
     /// # Errors
     ///
     /// [`ClusterError::UnknownSession`] on an unrouted key.
     pub fn checkpoint(&self, key: u64) -> Result<&WireSessionState> {
-        self.routes
-            .get(&key)
-            .map(|r| &r.checkpoint)
-            .ok_or(ClusterError::UnknownSession(key))
+        self.route(key).map(|r| &r.checkpoint)
     }
 
     /// Closes the session on its primary and forgets the route. Any
@@ -493,9 +660,10 @@ impl ClusterClient {
     /// Live migration: moves every session off `shard` to its new
     /// owner under the shrunken ring, with zero dropped ticks — the
     /// shard stays up throughout, each session is snapshotted at a
-    /// batch boundary, closed on the old shard, and restored
-    /// bit-exactly on its new primary before the ring update retires
-    /// the member. Returns how many sessions moved.
+    /// batch boundary (the new checkpoint, emptying the log), closed
+    /// on the old shard, and restored bit-exactly on its new primary
+    /// before the ring update retires the member. Returns how many
+    /// sessions moved.
     ///
     /// # Errors
     ///
@@ -532,7 +700,7 @@ impl ClusterClient {
             let route = self.routes.get_mut(&key).expect("key collected above");
             route.shard = new_primary;
             route.remote = restored.id;
-            route.checkpoint = state;
+            route.set_checkpoint(state);
             route.backup = None;
             moved += 1;
         }

@@ -13,20 +13,22 @@
 //!   replicators independently compute the same primary and backup
 //!   for every key, with no coordinator.
 //! * [`replicator`] — [`Replicator`], the per-shard
-//!   [`awsad_serve::ReplicationSink`]: after every accepted tick
-//!   batch the server hands it a session snapshot, and a background
-//!   worker ships it to the key's ring successor as a
-//!   `ReplicateSnapshot` frame. Strictly asynchronous and
-//!   best-effort; the queue depth surfaces as the engine's
-//!   `replication_lag_hwm` metric.
+//!   [`awsad_serve::ReplicationSink`]: the server hands it each
+//!   snapshot it returns for `SnapshotSession` (the router's
+//!   checkpoints), and a background worker ships it to the key's
+//!   ring successor as a `ReplicateSnapshot` frame. Strictly
+//!   asynchronous and best-effort; the queue depth surfaces as the
+//!   engine's `replication_lag_hwm` metric.
 //! * [`client`] — [`ClusterClient`], the session router: opens
-//!   sessions on their ring primary, checkpoints after every
-//!   delivered batch, and on a transport failure (the wire client's
-//!   poisoned fail-fast) promotes the backup's replica — or restores
-//!   its own checkpoint — and replays the interrupted batch, so the
-//!   caller-visible outcome stream is **byte-identical** to an
-//!   uninterrupted run. [`ClusterClient::drain_shard`] live-migrates
-//!   every session off a member with zero dropped ticks.
+//!   sessions on their ring primary, logs the ticks it delivers and
+//!   checkpoints once that log has grown to the checkpoint's own
+//!   size, and on a transport failure (the wire client's poisoned
+//!   fail-fast) promotes the backup's replica — or restores its own
+//!   checkpoint — replays the log, and delivers the interrupted
+//!   batch, so the caller-visible outcome stream is
+//!   **byte-identical** to an uninterrupted run.
+//!   [`ClusterClient::drain_shard`] live-migrates every session off a
+//!   member with zero dropped ticks.
 //! * [`shard`] — [`LocalCluster`], an in-process N-shard launcher
 //!   used by the tests, the testkit's seventh oracle path, and the
 //!   `cluster_failover` benchmark.
@@ -63,7 +65,7 @@ pub mod replicator;
 pub mod ring;
 pub mod shard;
 
-pub use client::{ClusterClient, ClusterError, ClusterSession};
+pub use client::{ClusterClient, ClusterError, ClusterSession, Recoveries};
 pub use replicator::Replicator;
 pub use ring::{replica_key, HashRing, VNODES};
 pub use shard::{LocalCluster, ShardHandle};

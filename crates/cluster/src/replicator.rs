@@ -1,20 +1,23 @@
 //! Asynchronous snapshot replication from a shard to its ring
 //! successors.
 //!
-//! The serve/net servers call [`awsad_serve::ReplicationSink`] after
-//! every accepted tick batch, *on the serving path* — so the sink
-//! must never block. [`Replicator`] therefore only routes and
-//! enqueues: it derives the session's cluster-wide replica key,
-//! consults its current [`HashRing`] view for the backup member (the
-//! first ring member clockwise from the key that is not this shard),
-//! and hands the snapshot to a background worker over a bounded
-//! channel. The worker owns one wire [`Client`] per backup address
-//! and delivers [`Frame::ReplicateSnapshot`] frames in order.
+//! The serve/net servers call [`awsad_serve::ReplicationSink`] with
+//! every snapshot they return for `SnapshotSession` of a session that
+//! has ticked — the cluster router's checkpoints, so replication runs
+//! at the router's checkpoint cadence, not once per batch. The call
+//! happens *on the serving path*, so the sink must never block.
+//! [`Replicator`] therefore only routes and enqueues: it derives the
+//! session's cluster-wide replica key, consults its current
+//! [`HashRing`] view for the backup member (the first ring member
+//! clockwise from the key that is not this shard), and hands the
+//! snapshot to a background worker over a bounded channel. The worker
+//! owns one wire [`Client`] per backup address and delivers
+//! [`Frame::ReplicateSnapshot`] frames in order.
 //!
 //! Replication is deliberately **best-effort**: a full queue or an
 //! unreachable backup drops the snapshot (counted, never blocking),
-//! because the cluster client keeps its own post-batch checkpoint and
-//! can always restore from it — the replica is a fast path for
+//! because the cluster client keeps its own checkpoint and tick log
+//! and can always restore from them — the replica is a fast path for
 //! promotion, not the source of truth. What the engine *does* record
 //! is the queue depth at enqueue time ([`ReplicationSink::replicate`]
 //! returns it), which surfaces as the `replication_lag_hwm` metric.

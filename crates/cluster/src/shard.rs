@@ -46,6 +46,29 @@ impl LocalCluster {
     ///
     /// Panics when `n` is zero or exceeds the 16-bit shard-id space.
     pub fn launch(n: usize, base: ServerConfig) -> io::Result<LocalCluster> {
+        LocalCluster::launch_with_sinks(n, base, |replicator| {
+            Arc::clone(replicator) as Arc<dyn ReplicationSink>
+        })
+    }
+
+    /// Launches `n` shards like [`LocalCluster::launch`], but installs
+    /// on each server the sink `sink` builds around the shard's
+    /// [`Replicator`] — a wrapper that filters or records updates
+    /// before (or instead of) forwarding them. The handle's
+    /// `replicator` stays the inner one.
+    ///
+    /// # Errors
+    ///
+    /// Bind failures.
+    ///
+    /// # Panics
+    ///
+    /// As [`LocalCluster::launch`].
+    pub fn launch_with_sinks(
+        n: usize,
+        base: ServerConfig,
+        sink: impl Fn(&Arc<Replicator>) -> Arc<dyn ReplicationSink>,
+    ) -> io::Result<LocalCluster> {
         assert!(n >= 1, "a cluster needs at least one shard");
         assert!(n < (1 << 16), "shard ids are confined to 16 bits");
         let mut shards = Vec::with_capacity(n);
@@ -55,7 +78,7 @@ impl LocalCluster {
             // seeded below.
             let replicator = Arc::new(Replicator::new(shard, HashRing::new(0, Vec::new())));
             let config = ServerConfig {
-                replication: Some(Arc::clone(&replicator) as Arc<dyn ReplicationSink>),
+                replication: Some(sink(&replicator)),
                 ..base.clone()
             };
             let server = Server::bind("127.0.0.1:0", config)?;

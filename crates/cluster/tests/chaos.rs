@@ -3,12 +3,13 @@
 //! every case each session's outcome stream must re-encode to the
 //! byte-identical wire image of its uninterrupted single-server run.
 
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use awsad_cluster::{ClusterSession, LocalCluster};
+use awsad_cluster::{ClusterClient, ClusterSession, LocalCluster, Recoveries};
 use awsad_serve::client::Client;
 use awsad_serve::server::{Server, ServerConfig};
-use awsad_serve::wire::{Frame, WireOutcome};
+use awsad_serve::wire::{Frame, WireOutcome, WireTick};
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use awsad_testkit::{FaultPlan, FaultProxy, ReplyFault};
 use rand::rngs::StdRng;
@@ -128,83 +129,189 @@ fn killing_a_shard_under_multi_session_load_loses_nothing() {
     cluster.shutdown();
 }
 
-/// A reply dropped by the proxy *after* the server applied the batch:
-/// the client must declare the (perfectly healthy) shard dead, find
-/// the replica on the backup **ahead** of its own checkpoint, discard
-/// it, restore the checkpoint, and replay — still byte-identical,
-/// with the duplicated work invisible to the caller.
+/// A three-shard cluster whose member serving cluster key 1 (the first
+/// key a fresh client assigns) is reached through a fault proxy
+/// running `plan`, and a fresh router over that ring.
+struct Proxied {
+    cluster: LocalCluster,
+    _proxy: FaultProxy,
+    client: ClusterClient,
+    primary: u32,
+}
+
+impl Proxied {
+    fn start(plan: FaultPlan) -> Proxied {
+        let cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
+        // The primary is a pure ring function, so the proxy can be
+        // interposed on exactly that member before the client ever
+        // connects.
+        let primary = cluster.ring().primary_for(1).expect("non-empty ring");
+        let proxy = FaultProxy::start(cluster_addr(&cluster, primary), vec![plan]);
+        let mut members = cluster.ring().members().to_vec();
+        members
+            .iter_mut()
+            .find(|m| m.shard == primary)
+            .expect("primary is a member")
+            .addr = proxy.addr().to_string();
+        Proxied {
+            cluster,
+            _proxy: proxy,
+            client: ClusterClient::from_members(&members),
+            primary,
+        }
+    }
+
+    /// Waits until the real primary has shipped every queued replica.
+    fn flush_primary(&self) {
+        assert!(
+            self.cluster
+                .shard(self.primary)
+                .expect("primary is live")
+                .replicator
+                .flush(Duration::from_secs(5)),
+            "replication did not drain"
+        );
+    }
+
+    /// Promotions performed across the cluster.
+    fn promotions(&self) -> u64 {
+        self.cluster
+            .live_shards()
+            .into_iter()
+            .filter_map(|s| self.cluster.engine_metrics(s))
+            .map(|m| m.failovers)
+            .sum()
+    }
+}
+
+fn cluster_addr(cluster: &LocalCluster, shard: u32) -> SocketAddr {
+    cluster
+        .shard(shard)
+        .expect("shard is live")
+        .server
+        .local_addr()
+}
+
+/// Streams `ticks` through the router in `BATCH`-tick requests.
+fn stream(client: &mut ClusterClient, key: u64, ticks: &[WireTick], out: &mut Vec<WireOutcome>) {
+    for chunk in ticks.chunks(BATCH) {
+        out.extend(client.tick_batch(key, chunk).expect("batch"));
+    }
+}
+
+/// A tick reply dropped by the proxy *after* the server applied the
+/// batch: the client declares the (perfectly healthy) shard dead and
+/// fails over. Servers replicate only what `SnapshotSession` returns,
+/// so the applied-but-unanswered batch never reached the backup: the
+/// replica is the client's last checkpoint, exactly at its progress
+/// point, and is adopted — the duplicated server-side work stays
+/// invisible to the caller.
 #[test]
-fn dropped_reply_forces_failover_past_a_replica_that_ran_ahead() {
+fn dropped_tick_reply_finds_the_replica_at_the_clients_progress() {
     let seed = SeedSpec::registry(0xFA_07_70).with_len(48);
     let scenario = Scenario::from_seed(&seed);
     let spec = scenario.spec.as_ref().expect("registry scenario");
     let reference = wire_image(direct_outcomes(&scenario));
 
-    let cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
-    // The first cluster key a fresh client assigns is 1; its primary
-    // is a pure ring function, so the proxy can be interposed on
-    // exactly that member before the client ever connects.
-    let primary = cluster.ring().primary_for(1).expect("non-empty ring");
-    let real_addr = cluster
-        .shard(primary)
-        .expect("primary is live")
-        .server
-        .local_addr();
-    // Connection reply order: hello(0), open(1), checkpoint(2), then
-    // batch+checkpoint pairs. Dropping reply 5 swallows the second
-    // batch's outcomes after the server has already applied them.
-    let proxy = FaultProxy::start(real_addr, vec![FaultPlan::after(5, ReplyFault::Drop)]);
-    let mut members = cluster.ring().members().to_vec();
-    members
-        .iter_mut()
-        .find(|m| m.shard == primary)
-        .expect("primary is a member")
-        .addr = proxy.addr().to_string();
-
-    let mut client = awsad_cluster::ClusterClient::from_members(&members);
-    let session = client.open_session(spec).expect("open through proxy");
+    // Connection reply order: hello(0), open(1), open-time
+    // checkpoint(2), first batch(3), its checkpoint(4) — the fresh
+    // checkpoint carries no payload, so the first batch is always
+    // checkpointed — then the second batch(5), dropped after the
+    // server applied it.
+    let mut p = Proxied::start(FaultPlan::after(5, ReplyFault::Drop));
+    let session = p.client.open_session(spec).expect("open through proxy");
     assert_eq!(
         session.key, 1,
         "key assignment must match the interposed member"
     );
     let mut outcomes = Vec::new();
-    outcomes.extend(
-        client
-            .tick_batch(session.key, &scenario.trace[..BATCH])
-            .expect("first batch"),
+    stream(
+        &mut p.client,
+        session.key,
+        &scenario.trace[..BATCH],
+        &mut outcomes,
     );
-    // Second batch: the server applies it, replicates it, but the
-    // reply is dropped and the connection severed. Flushing the real
-    // shard's replicator afterwards guarantees the backup's replica
-    // is *ahead* of the client checkpoint when promotion runs.
-    let run_rest = |client: &mut awsad_cluster::ClusterClient,
-                    outcomes: &mut Vec<WireOutcome>|
-     -> Result<(), awsad_cluster::ClusterError> {
-        for chunk in scenario.trace[BATCH..].chunks(BATCH) {
-            outcomes.extend(client.tick_batch(session.key, chunk)?);
-        }
-        Ok(())
-    };
-    // The drop lands inside this loop; the flush below must happen
-    // after the server processed the batch, so give replication a
-    // moment before the client's failover promotes. The client's
-    // failover path itself tolerates either replica position, so the
-    // test outcome does not depend on winning this race — only the
-    // stream bytes are asserted.
-    run_rest(&mut client, &mut outcomes).expect("stream survives the dropped reply");
+    assert_eq!(
+        p.client.checkpoint(session.key).expect("routed").next_seq,
+        BATCH as u64
+    );
+    // The checkpoint's replica is on the backup before the drop.
+    p.flush_primary();
+    stream(
+        &mut p.client,
+        session.key,
+        &scenario.trace[BATCH..],
+        &mut outcomes,
+    );
 
-    assert_eq!(client.failovers(), 1, "the dropped reply must fail over");
+    assert_eq!(
+        p.client.recoveries(),
+        Recoveries {
+            adopted: 1,
+            ..Recoveries::default()
+        },
+        "the replica must sit at the client's progress, not ahead of it"
+    );
+    assert_eq!(p.promotions(), 1);
     assert_ne!(
-        client.primary_of(session.key),
-        Some(primary),
+        p.client.primary_of(session.key),
+        Some(p.primary),
         "the session moved off the proxied member"
     );
     // The original shard is alive and well — failover was a client
     // decision, and it must not have corrupted the survivor.
-    let mut probe = Client::connect(real_addr).expect("original shard still accepts");
+    let mut probe =
+        Client::connect(cluster_addr(&p.cluster, p.primary)).expect("original shard accepts");
     probe
         .open_session(&awsad_serve::wire::SessionSpec::model_defaults(2))
         .expect("original shard still serves");
     assert_eq!(wire_image(outcomes), reference);
-    cluster.shutdown();
+    p.cluster.shutdown();
+}
+
+/// The reply to the checkpoint after a delivered batch is dropped:
+/// the batch's outcomes still reach the caller, the shard is declared
+/// dead, and the next call fails over. The server replicated the
+/// snapshot before its reply was lost, so the backup holds the session
+/// at the client's progress point — its checkpoint plus the logged
+/// batch — and adopts it.
+#[test]
+fn dropped_checkpoint_reply_still_returns_the_batch() {
+    let seed = SeedSpec::registry(0xC4EC_4B07).with_len(40);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = wire_image(direct_outcomes(&scenario));
+
+    // Reply 4 is the checkpoint after the first batch (see above).
+    let mut p = Proxied::start(FaultPlan::after(4, ReplyFault::Drop));
+    let session = p.client.open_session(spec).expect("open through proxy");
+    assert_eq!(session.key, 1);
+    let mut outcomes = p
+        .client
+        .tick_batch(session.key, &scenario.trace[..BATCH])
+        .expect("the delivered batch is returned");
+    assert_eq!(outcomes.len(), BATCH);
+    assert_eq!(
+        p.client.checkpoint(session.key).expect("routed").next_seq,
+        0,
+        "the batch lives in the log"
+    );
+    assert_eq!(p.client.failovers(), 0, "failover waits for the next call");
+    p.flush_primary();
+    stream(
+        &mut p.client,
+        session.key,
+        &scenario.trace[BATCH..],
+        &mut outcomes,
+    );
+    assert_eq!(
+        p.client.recoveries(),
+        Recoveries {
+            adopted: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(p.promotions(), 1);
+    assert_eq!(wire_image(outcomes), reference);
+    p.cluster.shutdown();
 }

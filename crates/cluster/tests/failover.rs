@@ -2,14 +2,30 @@
 //! a scenario streamed through a 3-shard cluster with its primary
 //! killed (or drained) mid-stream re-encodes to the byte-identical
 //! `TickOutcomes` wire image of an uninterrupted single-server run.
+//!
+//! Each branch of the promotion decision has its own deterministic
+//! test, told apart by the client's [`Recoveries`] and the survivors'
+//! `failovers` metric (promotions): no replica (restore), the
+//! checkpoint's replica (promote, then replay the tick log), a replica
+//! at the client's progress point (promote and adopt), a stale
+//! replica (promote, discard, restore and replay), and a replica cut
+//! just before a model swap, which shares the post-swap checkpoint's
+//! `next_seq` and must still be discarded.
 
-use awsad_cluster::LocalCluster;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use awsad_cluster::{ClusterClient, LocalCluster, Recoveries, Replicator};
 use awsad_serve::client::Client;
 use awsad_serve::server::{Server, ServerConfig};
-use awsad_serve::wire::{Frame, WireOutcome};
+use awsad_serve::wire::{Frame, RingMember, WireOutcome};
+use awsad_serve::{ReplicationSink, ReplicationUpdate};
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
+
+const BATCH: usize = 8;
 
 /// The uninterrupted reference: the scenario streamed through one
 /// plain server.
@@ -140,11 +156,55 @@ fn killing_the_primary_is_invisible_for_output_map_scenarios() {
     }
 }
 
+/// Promotions the live shards performed (their engines' `failovers`).
+fn promotions(cluster: &LocalCluster) -> u64 {
+    cluster
+        .live_shards()
+        .into_iter()
+        .filter_map(|s| cluster.engine_metrics(s))
+        .map(|m| m.failovers)
+        .sum()
+}
+
+/// Waits until the session's primary has shipped every queued replica.
+fn flush_primary(cluster: &LocalCluster, client: &ClusterClient, key: u64) {
+    let primary = client.primary_of(key).expect("routed");
+    assert!(
+        cluster
+            .shard(primary)
+            .expect("primary is live")
+            .replicator
+            .flush(Duration::from_secs(5)),
+        "replication did not drain"
+    );
+}
+
+/// Kills the session's primary, streams `rest` through the router
+/// and returns the outcomes.
+fn kill_and_stream(
+    cluster: &mut LocalCluster,
+    client: &mut ClusterClient,
+    key: u64,
+    rest: &[awsad_serve::wire::WireTick],
+) -> Vec<WireOutcome> {
+    let primary = client.primary_of(key).expect("routed");
+    cluster.kill(primary);
+    let mut outcomes = Vec::new();
+    for chunk in rest.chunks(BATCH) {
+        outcomes.extend(client.tick_batch(key, chunk).expect("post-kill"));
+    }
+    assert_ne!(client.primary_of(key), Some(primary), "session moved");
+    outcomes
+}
+
 #[test]
 fn failover_without_a_replica_restores_from_the_client_checkpoint() {
-    // No flush, tiny trace, kill immediately after the first batch —
-    // replication may or may not have landed; byte-identity must hold
-    // regardless of which recovery path runs.
+    // The primary dies before the first batch: the only checkpoint is
+    // the open-time one, which no server replicates (a fresh session
+    // is rebuilt from its spec), so promotion finds nothing. Every
+    // non-empty first batch is followed by a checkpoint — the fresh
+    // one carries no payload — so this is the one point where "no
+    // replica" does not hang on replication timing.
     let seed = SeedSpec::registry(0x00D1_CE77).with_len(32);
     let scenario = Scenario::from_seed(&seed);
     let spec = scenario.spec.as_ref().expect("registry scenario");
@@ -153,17 +213,250 @@ fn failover_without_a_replica_restores_from_the_client_checkpoint() {
     let mut cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
     let mut client = cluster.client();
     let session = client.open_session(spec).expect("open");
-    let mut outcomes = Vec::new();
+    assert_eq!(client.checkpoint(session.key).expect("routed").next_seq, 0);
+    let outcomes = kill_and_stream(&mut cluster, &mut client, session.key, &scenario.trace);
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            restored: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(promotions(&cluster), 0, "there was no replica to promote");
+    assert_wire_identical(&seed, outcomes, reference);
+    cluster.shutdown();
+}
+
+#[test]
+fn failover_onto_the_checkpoint_replica_replays_the_tick_log() {
+    let seed = SeedSpec::registry(0x0BAC_4106).with_len(48);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = direct_outcomes(&scenario);
+
+    let mut cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
+    let mut client = cluster.client();
+    let session = client.open_session(spec).expect("open");
+    let mut outcomes = client
+        .tick_batch(session.key, &scenario.trace[..BATCH])
+        .expect("first batch");
+    assert_eq!(
+        client.checkpoint(session.key).expect("routed").next_seq,
+        BATCH as u64,
+        "the first batch is always checkpointed"
+    );
+    flush_primary(&cluster, &client, session.key);
     outcomes.extend(
         client
-            .tick_batch(session.key, &scenario.trace[..8])
-            .expect("first batch"),
+            .tick_batch(session.key, &scenario.trace[BATCH..2 * BATCH])
+            .expect("second batch"),
     );
-    cluster.kill(client.primary_of(session.key).expect("routed"));
-    for chunk in scenario.trace[8..].chunks(8) {
-        outcomes.extend(client.tick_batch(session.key, chunk).expect("post-kill"));
+    assert_eq!(
+        client.checkpoint(session.key).expect("routed").next_seq,
+        BATCH as u64,
+        "a batch smaller than the checkpoint is only logged"
+    );
+    outcomes.extend(kill_and_stream(
+        &mut cluster,
+        &mut client,
+        session.key,
+        &scenario.trace[2 * BATCH..],
+    ));
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            replayed: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(promotions(&cluster), 1);
+    assert_wire_identical(&seed, outcomes, reference);
+    cluster.shutdown();
+}
+
+#[test]
+fn failover_right_after_a_checkpoint_adopts_the_replica() {
+    let seed = SeedSpec::registry(0x0AD0_F7ED).with_len(40);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = direct_outcomes(&scenario);
+
+    let mut cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
+    let mut client = cluster.client();
+    let session = client.open_session(spec).expect("open");
+    let mut outcomes = client
+        .tick_batch(session.key, &scenario.trace[..BATCH])
+        .expect("first batch");
+    assert_eq!(
+        client.checkpoint(session.key).expect("routed").next_seq,
+        BATCH as u64
+    );
+    flush_primary(&cluster, &client, session.key);
+    outcomes.extend(kill_and_stream(
+        &mut cluster,
+        &mut client,
+        session.key,
+        &scenario.trace[BATCH..],
+    ));
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            adopted: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(promotions(&cluster), 1);
+    assert_wire_identical(&seed, outcomes, reference);
+    cluster.shutdown();
+}
+
+/// Forwards only its first update to the shard's replicator, so a
+/// backup keeps the oldest replicated cut of a session.
+struct FirstUpdateOnly {
+    replicator: Arc<Replicator>,
+    forwarded: AtomicBool,
+}
+
+impl ReplicationSink for FirstUpdateOnly {
+    fn replicate(&self, update: ReplicationUpdate) -> u64 {
+        if self.forwarded.swap(true, Ordering::SeqCst) {
+            0
+        } else {
+            self.replicator.replicate(update)
+        }
     }
-    assert_eq!(client.failovers(), 1);
+
+    fn ring_update(&self, epoch: u64, members: &[RingMember]) {
+        self.replicator.ring_update(epoch, members);
+    }
+}
+
+#[test]
+fn failover_past_a_stale_replica_restores_the_checkpoint_and_replays() {
+    let seed = SeedSpec::registry(0x57A1_E000).with_len(128);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = direct_outcomes(&scenario);
+
+    let mut cluster = LocalCluster::launch_with_sinks(3, ServerConfig::default(), |r| {
+        Arc::new(FirstUpdateOnly {
+            replicator: Arc::clone(r),
+            forwarded: AtomicBool::new(false),
+        })
+    })
+    .expect("launch");
+    let mut client = cluster.client();
+    let session = client.open_session(spec).expect("open");
+    let mut batches = scenario.trace.chunks(BATCH);
+    let mut outcomes = Vec::new();
+    // Stream until a second checkpoint has been taken (the sink drops
+    // its replica, so the backup keeps the first one), then one more
+    // batch so the log is not empty.
+    while client.checkpoint(session.key).expect("routed").next_seq <= BATCH as u64 {
+        let batch = batches.next().expect("the trace outlasts two checkpoints");
+        outcomes.extend(client.tick_batch(session.key, batch).expect("batch"));
+    }
+    outcomes.extend(
+        client
+            .tick_batch(session.key, batches.next().expect("one more batch"))
+            .expect("logged batch"),
+    );
+    let checkpoint = client.checkpoint(session.key).expect("routed").next_seq;
+    assert!(
+        checkpoint < outcomes.len() as u64,
+        "the last batch must be in the log"
+    );
+    flush_primary(&cluster, &client, session.key);
+    outcomes.extend(kill_and_stream(
+        &mut cluster,
+        &mut client,
+        session.key,
+        &scenario.trace[outcomes.len()..],
+    ));
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            restored: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(
+        promotions(&cluster),
+        1,
+        "the stale replica is promoted, then discarded"
+    );
+    assert_wire_identical(&seed, outcomes, reference);
+    cluster.shutdown();
+}
+
+/// Forwards only states that carry no model swap, so a backup keeps
+/// the last pre-swap cut of a session.
+struct PreSwapOnly(Arc<Replicator>);
+
+impl ReplicationSink for PreSwapOnly {
+    fn replicate(&self, update: ReplicationUpdate) -> u64 {
+        if update.state.recalibration.is_some() {
+            0
+        } else {
+            self.0.replicate(update)
+        }
+    }
+
+    fn ring_update(&self, epoch: u64, members: &[RingMember]) {
+        self.0.ring_update(epoch, members);
+    }
+}
+
+#[test]
+fn a_replica_cut_before_a_model_swap_is_not_adopted_after_it() {
+    // The pre-swap checkpoint and the post-swap one share a `next_seq`;
+    // only the recalibration count tells them apart.
+    let seed = SeedSpec::drift(0x00D2_1F75);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("drift scenario");
+    let recal = scenario.recalibration.as_ref().expect("drift scenario");
+    let at = recal.at;
+    assert!(at < scenario.trace.len(), "the swap must precede the kill");
+    let (n, m) = recal.b.shape();
+    let (n, m, a, b) = (n as u32, m as u32, recal.a.as_slice(), recal.b.as_slice());
+
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind reference");
+    let mut direct = Client::connect(server.local_addr()).expect("connect reference");
+    let id = direct.open_session(spec).expect("open reference").id;
+    let mut reference = direct.tick_batch(id, &scenario.trace[..at]).expect("batch");
+    assert_eq!(direct.recalibrate(id, n, m, a, b).expect("swap"), 1);
+    for chunk in scenario.trace[at..].chunks(BATCH) {
+        reference.extend(direct.tick_batch(id, chunk).expect("batch"));
+    }
+    server.shutdown();
+
+    let mut cluster = LocalCluster::launch_with_sinks(3, ServerConfig::default(), |r| {
+        Arc::new(PreSwapOnly(Arc::clone(r)))
+    })
+    .expect("launch");
+    let mut client = cluster.client();
+    let key = client.open_session(spec).expect("open").key;
+    // One batch up to the swap: the first batch is always checkpointed.
+    let mut outcomes = client
+        .tick_batch(key, &scenario.trace[..at])
+        .expect("pre-swap batch");
+    assert_eq!(client.checkpoint(key).expect("routed").next_seq, at as u64);
+    flush_primary(&cluster, &client, key);
+    assert_eq!(client.recalibrate(key, n, m, a, b).expect("swap"), 1);
+    outcomes.extend(kill_and_stream(
+        &mut cluster,
+        &mut client,
+        key,
+        &scenario.trace[at..],
+    ));
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            restored: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(promotions(&cluster), 1, "promoted, then discarded");
     assert_wire_identical(&seed, outcomes, reference);
     cluster.shutdown();
 }

@@ -805,20 +805,6 @@ impl Shard {
         let batch = conn.pending.take().expect("pending batch");
         sess.busy = false;
         sess.last_used = Instant::now();
-        if let Some(sink) = &self.shared.config.base.replication {
-            // The batch's outcomes are all in hand, so the session
-            // queue is drained and this snapshot captures exactly the
-            // post-batch state — same egress point as the blocking
-            // server's run_ticks.
-            let snapshot = sess.handle.snapshot();
-            let lag = sink.replicate(ReplicationUpdate {
-                session: batch.session,
-                generation: snapshot.generation,
-                spec: sess.spec.clone(),
-                state: WireSessionState::from_snapshot(&snapshot),
-            });
-            self.shard.engine.record_replication(lag);
-        }
         let reply = Frame::TickOutcomes {
             session: batch.session,
             outcomes: batch.outcomes,
@@ -1228,15 +1214,30 @@ impl Shard {
         // batch (if any) already delivered its outcomes, so this only
         // waits for queue drain — effectively instant.
         let snapshot = sess.handle.snapshot();
-        Frame::SessionSnapshot {
-            session,
-            state: WireSessionState::from_snapshot(&snapshot),
+        let state = WireSessionState::from_snapshot(&snapshot);
+        if let Some(sink) = &self.shared.config.base.replication {
+            // Replication egress, the same point as the blocking
+            // server's: the backup receives exactly the state this
+            // reply carries, and a never-ticked session (rebuilt from
+            // its spec) is not shipped. `Tick` and `Recalibrate`
+            // replicate nothing.
+            if snapshot.next_seq > 0 {
+                let lag = sink.replicate(ReplicationUpdate {
+                    session,
+                    generation: snapshot.generation,
+                    spec: sess.spec.clone(),
+                    state: state.clone(),
+                });
+                self.shard.engine.record_replication(lag);
+            }
         }
+        Frame::SessionSnapshot { session, state }
     }
 
-    /// Swaps the session's plant model in place — same codes, same
-    /// messages, and the same replication egress as the blocking
-    /// server's `recalibrate_session`.
+    /// Swaps the session's plant model in place — same codes and
+    /// messages as the blocking server's `recalibrate_session`, and
+    /// like it replicates nothing (the router's checkpoint after the
+    /// swap does).
     fn recalibrate_session(
         &mut self,
         conn_token: u64,
@@ -1278,16 +1279,6 @@ impl Shard {
             Ok(count) => count,
             Err(e) => return reject(&self.shard.stats, format!("recalibrate: {e}")),
         };
-        if let Some(sink) = &self.shared.config.base.replication {
-            let snapshot = sess.handle.snapshot();
-            let lag = sink.replicate(ReplicationUpdate {
-                session,
-                generation: snapshot.generation,
-                spec: sess.spec.clone(),
-                state: WireSessionState::from_snapshot(&snapshot),
-            });
-            self.shard.engine.record_replication(lag);
-        }
         Frame::RecalibrateAck {
             session,
             recal_count,

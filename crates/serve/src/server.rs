@@ -65,8 +65,9 @@ use crate::wire::{
     SessionSpec, WireLatency, WireMetrics, WireOutcome, WireSessionState, DEFAULT_MAX_FRAME_LEN,
 };
 
-/// One session snapshot headed for a backup peer, handed to the
-/// server's [`ReplicationSink`] after every accepted tick batch.
+/// One session snapshot headed for a backup peer: the server hands
+/// its [`ReplicationSink`] the snapshot it just returned for
+/// `SnapshotSession`, when the session has ticked.
 #[derive(Debug, Clone)]
 pub struct ReplicationUpdate {
     /// The live session id on the primary.
@@ -77,18 +78,25 @@ pub struct ReplicationUpdate {
     /// The spec the session was opened with — the backup needs it to
     /// rebuild the detector stack at promotion time.
     pub spec: SessionSpec,
-    /// The session state as of the just-answered batch.
+    /// The session state, exactly as the `SessionSnapshot` reply
+    /// carries it.
     pub state: WireSessionState,
 }
 
-/// Where a replication-enabled server sends its post-batch snapshots.
+/// Where a replication-enabled server sends the snapshots it returns.
+///
+/// The egress point is `SnapshotSession`: the state a client takes as
+/// its checkpoint is the state the backup receives, so a replica is
+/// always a cut the client knows. Sessions that have not ticked
+/// (`next_seq` 0) are not replicated — their spec rebuilds them.
+/// `Tick` and `Recalibrate` replicate nothing.
 ///
 /// Implementations (see `awsad-cluster`) typically enqueue the update
 /// for a background sender so the hot reply path never waits on the
 /// backup's socket — replication is asynchronous by design, and the
 /// cluster router compensates for the resulting lag at promotion time
 /// by comparing the promoted replica's progress against its own
-/// checkpoint.
+/// checkpoint and tick log.
 pub trait ReplicationSink: Send + Sync {
     /// Accepts one update. Returns the sink's current backlog —
     /// updates accepted but not yet acknowledged by the backup,
@@ -133,9 +141,9 @@ pub struct ServerConfig {
     /// bounding how long a slow-loris writer can hold a connection
     /// thread.
     pub frame_deadline: Duration,
-    /// When set, every accepted tick batch is followed by a session
-    /// snapshot handed to this sink for asynchronous replication to a
-    /// backup peer (`None` — the default — replicates nothing).
+    /// When set, every `SnapshotSession` reply of a session that has
+    /// ticked is also handed to this sink for asynchronous replication
+    /// to a backup peer (`None` — the default — replicates nothing).
     pub replication: Option<Arc<dyn ReplicationSink>>,
 }
 
@@ -951,17 +959,29 @@ fn snapshot_session(shared: &ServerShared, conn_id: u64, session: u64) -> Frame 
     // outcomes have been delivered, so this only waits for queue
     // drain (normally instant).
     let snapshot = inner.handle.snapshot();
-    Frame::SessionSnapshot {
-        session,
-        state: WireSessionState::from_snapshot(&snapshot),
+    let state = WireSessionState::from_snapshot(&snapshot);
+    if let Some(sink) = &shared.config.replication {
+        // Replication egress: the backup receives the very state the
+        // client keeps as its checkpoint. A session that never ticked
+        // is rebuilt from its spec, so it is not shipped.
+        if snapshot.next_seq > 0 {
+            let lag = sink.replicate(ReplicationUpdate {
+                session,
+                generation: snapshot.generation,
+                spec: serve_session.spec.clone(),
+                state: state.clone(),
+            });
+            shared.engine.record_replication(lag);
+        }
     }
+    Frame::SessionSnapshot { session, state }
 }
 
 /// Swaps a live session's plant model mid-stream (accepted model
 /// drift). The engine blocks until the session's queue is drained, so
-/// the swap is a clean cut between two ticks; the post-swap state is
-/// replicated like a post-batch state so failover restores the
-/// *recalibrated* session.
+/// the swap is a clean cut between two ticks. Nothing is replicated
+/// here: the cluster router checkpoints right after a swap, and that
+/// `SnapshotSession` carries the recalibrated state to the backup.
 fn recalibrate_session(
     shared: &ServerShared,
     conn_id: u64,
@@ -1001,19 +1021,6 @@ fn recalibrate_session(
         Ok(count) => count,
         Err(e) => return reject(format!("recalibrate: {e}")),
     };
-    if let Some(sink) = &shared.config.replication {
-        // The queue is drained (recalibrate waited for it), so this
-        // snapshot captures exactly the post-swap state; a failover
-        // from here resumes under the new model.
-        let snapshot = inner.handle.snapshot();
-        let lag = sink.replicate(ReplicationUpdate {
-            session,
-            generation: snapshot.generation,
-            spec: serve_session.spec.clone(),
-            state: WireSessionState::from_snapshot(&snapshot),
-        });
-        shared.engine.record_replication(lag);
-    }
     Frame::RecalibrateAck {
         session,
         recal_count,
@@ -1078,20 +1085,6 @@ fn run_ticks(
                 )
             }
         }
-    }
-    if let Some(sink) = &shared.config.replication {
-        // All outcomes are in hand, so the session queue is drained
-        // and this snapshot captures exactly the post-batch state. The
-        // sink only enqueues (replication is asynchronous), so the
-        // reply is not delayed by the backup's socket.
-        let snapshot = inner.handle.snapshot();
-        let lag = sink.replicate(ReplicationUpdate {
-            session,
-            generation: snapshot.generation,
-            spec: serve_session.spec.clone(),
-            state: WireSessionState::from_snapshot(&snapshot),
-        });
-        shared.engine.record_replication(lag);
     }
     Frame::TickOutcomes { session, outcomes }
 }

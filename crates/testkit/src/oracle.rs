@@ -31,9 +31,10 @@
 
 use std::fmt;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
-use awsad_cluster::LocalCluster;
+use awsad_cluster::{LocalCluster, Recoveries};
 use awsad_core::{AdaptiveDetector, AdaptiveStep, DataLogger};
 use awsad_linalg::Vector;
 use awsad_reach::{CacheConfig, Deadline, DeadlineCache, DeadlineEstimator};
@@ -41,7 +42,8 @@ use awsad_runtime::{DetectionEngine, EngineConfig, RuntimeMetrics, Tick, TickOut
 use awsad_serve::client::Client;
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
 use awsad_serve::server::ServerConfig;
-use awsad_serve::wire::{Frame, WireOutcome, WireTick};
+use awsad_serve::wire::{Frame, RingMember, WireOutcome, WireTick};
+use awsad_serve::{ReplicationSink, ReplicationUpdate};
 
 use crate::proxy::{FaultPlan, FaultProxy, ReplyFault};
 use crate::scenario::Scenario;
@@ -506,13 +508,67 @@ pub fn check_six_paths(
     Ok(())
 }
 
+/// A cluster-path run: the caller-visible stream and how the
+/// router's failover rebuilt the session.
+#[derive(Debug, Clone)]
+pub struct ClusterRun {
+    /// The outcome stream, as [`AdaptiveStep`]s.
+    pub steps: Vec<AdaptiveStep>,
+    /// The router's failovers by recovery branch.
+    pub recoveries: Recoveries,
+}
+
+/// The seed coin of the cluster paths: odd seeds take the failover's
+/// restore branch (no replica to promote), even seeds promote one.
+fn cluster_coin_restores(scenario: &Scenario) -> bool {
+    scenario.seed.seed & 1 == 1
+}
+
+/// Fails unless exactly one failover ran, on the branch the seed coin
+/// chose.
+fn check_branch(
+    scenario: &Scenario,
+    path: &'static str,
+    recoveries: Recoveries,
+) -> Result<(), OracleError> {
+    let restore = cluster_coin_restores(scenario);
+    if recoveries.total() == 1 && (recoveries.restored == 1) == restore {
+        return Ok(());
+    }
+    Err(OracleError::new(
+        scenario,
+        path,
+        format!(
+            "the seed coin chose {} but the failovers ran {recoveries:?}",
+            if restore { "a restore" } else { "a promotion" }
+        ),
+    ))
+}
+
+/// A replication sink that sheds every update — best-effort
+/// replication at its worst, so promotion finds no replica.
+struct ShedAll;
+
+impl ReplicationSink for ShedAll {
+    fn replicate(&self, _update: ReplicationUpdate) -> u64 {
+        0
+    }
+
+    fn ring_update(&self, _epoch: u64, _members: &[RingMember]) {}
+}
+
 /// Path 7 — the cluster router: the scenario streams through a fresh
 /// 3-shard [`LocalCluster`] and the session's primary is killed with
-/// no warning halfway through. The router's failover (promote the
-/// ring successor's replica, or restore the client checkpoint, then
-/// replay the interrupted batch) must leave the caller-visible stream
-/// bit-identical to direct stepping.
-pub fn cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, OracleError> {
+/// no warning. The router's failover (promote the ring successor's
+/// replica or restore the client checkpoint, replay the tick log,
+/// then deliver the interrupted batch) must leave the caller-visible
+/// stream bit-identical to direct stepping. A seed coin picks the kill
+/// point so both branches are covered across the corpus, and the run
+/// fails unless the chosen one ran: odd seeds kill before the first
+/// batch, when the only checkpoint is the open-time one that no server
+/// replicates (restore); even seeds kill after the second batch with
+/// replication flushed first (promotion).
+pub fn cluster_steps(scenario: &Scenario) -> Result<ClusterRun, OracleError> {
     let spec = scenario
         .spec
         .as_ref()
@@ -525,19 +581,17 @@ pub fn cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, OracleErr
         .open_session(spec)
         .map_err(|e| fail(format!("open: {e}")))?;
     let chunk = (scenario.trace.len() / 4).max(1);
+    let restore = cluster_coin_restores(scenario);
+    let kill_at = if restore { 0 } else { 2 };
     let mut outcomes = Vec::new();
     let mut killed = false;
     for (i, batch) in scenario.trace.chunks(chunk).enumerate() {
-        // Kill the primary after the second batch; a seed-derived
-        // coin decides whether in-flight replicas get to land first,
-        // so both recovery paths (promote the replica / restore the
-        // checkpoint) stay exercised across the scenario corpus.
-        if i == 2 && !killed {
+        if i == kill_at {
             killed = true;
             let primary = client
                 .primary_of(session.key)
                 .ok_or_else(|| fail("session lost its route".into()))?;
-            if scenario.seed.seed & 1 == 0 {
+            if !restore {
                 if let Some(shard) = cluster.shard(primary) {
                     shard.replicator.flush(Duration::from_secs(5));
                 }
@@ -550,14 +604,18 @@ pub fn cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, OracleErr
                 .map_err(|e| fail(format!("tick_batch: {e}")))?,
         );
     }
-    if killed && client.failovers() == 0 {
-        return Err(fail("the kill never forced a failover".into()));
+    let recoveries = client.recoveries();
+    if killed {
+        check_branch(scenario, "cluster", recoveries)?;
     }
     client
         .close_session(session.key)
         .map_err(|e| fail(format!("close: {e}")))?;
     cluster.shutdown();
-    wire_steps(scenario, "cluster", &outcomes)
+    Ok(ClusterRun {
+        steps: wire_steps(scenario, "cluster", &outcomes)?,
+        recoveries,
+    })
 }
 
 /// Runs **all seven** paths: the six of [`check_six_paths`], plus the
@@ -573,7 +631,7 @@ pub fn check_seven_paths(
     diff_streams(
         scenario,
         "cluster",
-        &cluster_steps(scenario)?,
+        &cluster_steps(scenario)?.steps,
         &direct_steps(scenario),
     )?;
     Ok(())
@@ -897,12 +955,14 @@ pub fn recal_remote_steps(
 
 /// Path 9, cluster leg — recalibrate through the router, then kill
 /// the primary with no warning: the failover must resume the session
-/// **with the drifted model**, from either the replica (replication
-/// runs on recalibration too) or the client checkpoint (refreshed by
-/// [`awsad_cluster::ClusterClient::recalibrate`]). A seed-derived
-/// coin decides whether in-flight replicas land first, keeping both
-/// recovery paths exercised across the corpus.
-pub fn recal_cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, OracleError> {
+/// **with the drifted model**, from either the replica of the
+/// post-swap checkpoint or the client's own copy of it (refreshed by
+/// [`awsad_cluster::ClusterClient::recalibrate`]). The kill follows
+/// the swap on both sides of the seed coin, so the coin splits the
+/// branches by replication instead: even seeds flush it before the
+/// kill (promotion), odd seeds shed it in every shard's sink
+/// (restore). The run fails unless the chosen branch ran.
+pub fn recal_cluster_steps(scenario: &Scenario) -> Result<ClusterRun, OracleError> {
     let recal = scenario.recalibration.as_ref().expect("drift scenario");
     let at = recal_boundary(scenario);
     let spec = scenario
@@ -910,8 +970,15 @@ pub fn recal_cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, Ora
         .as_ref()
         .expect("cluster path needs a wire-capable scenario");
     let fail = |detail: String| OracleError::new(scenario, "recal-cluster", detail);
-    let mut cluster = LocalCluster::launch(3, ServerConfig::default())
-        .map_err(|e| fail(format!("launch: {e}")))?;
+    let restore = cluster_coin_restores(scenario);
+    let mut cluster = if restore {
+        LocalCluster::launch_with_sinks(3, ServerConfig::default(), |_| {
+            Arc::new(ShedAll) as Arc<dyn ReplicationSink>
+        })
+    } else {
+        LocalCluster::launch(3, ServerConfig::default())
+    }
+    .map_err(|e| fail(format!("launch: {e}")))?;
     let mut client = cluster.client();
     let session = client
         .open_session(spec)
@@ -939,7 +1006,7 @@ pub fn recal_cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, Ora
         let primary = client
             .primary_of(session.key)
             .ok_or_else(|| fail("session lost its route".into()))?;
-        if scenario.seed.seed & 1 == 0 {
+        if !restore {
             if let Some(shard) = cluster.shard(primary) {
                 shard.replicator.flush(Duration::from_secs(5));
             }
@@ -952,29 +1019,30 @@ pub fn recal_cluster_steps(scenario: &Scenario) -> Result<Vec<AdaptiveStep>, Ora
                     .map_err(|e| fail(format!("tick_batch: {e}")))?,
             );
         }
-        if client.failovers() == 0 {
-            return Err(fail(
-                "the post-recalibration kill never forced a failover".into(),
-            ));
-        }
+        check_branch(scenario, "recal-cluster", client.recoveries())?;
     }
+    let recoveries = client.recoveries();
     client
         .close_session(session.key)
         .map_err(|e| fail(format!("close: {e}")))?;
     cluster.shutdown();
-    wire_steps(scenario, "recal-cluster", &outcomes)
+    Ok(ClusterRun {
+        steps: wire_steps(scenario, "recal-cluster", &outcomes)?,
+        recoveries,
+    })
 }
 
 /// Runs the **ninth** differential-oracle path over one drift
 /// scenario: direct in-place recalibration is the reference, and the
 /// batch engine, snapshot/restore across the recalibration, the wire
 /// op against both server implementations, and cluster failover after
-/// the swap must all reproduce it bit for bit.
+/// the swap must all reproduce it bit for bit. Returns how the cluster
+/// leg's failover recovered (nothing when the swap ends the trace).
 pub fn check_recalibrate_path(
     scenario: &Scenario,
     serve_addr: SocketAddr,
     net_addr: SocketAddr,
-) -> Result<(), OracleError> {
+) -> Result<Recoveries, OracleError> {
     let reference = direct_recalibrated_steps(scenario);
     diff_streams(
         scenario,
@@ -1003,13 +1071,9 @@ pub fn check_recalibrate_path(
         &recal_remote_steps(scenario, net_addr, "recal-net")?,
         &reference,
     )?;
-    diff_streams(
-        scenario,
-        "recal-cluster",
-        &recal_cluster_steps(scenario)?,
-        &reference,
-    )?;
-    Ok(())
+    let cluster = recal_cluster_steps(scenario)?;
+    diff_streams(scenario, "recal-cluster", &cluster.steps, &reference)?;
+    Ok(cluster.recoveries)
 }
 
 fn deadline_not_later(conservative: Deadline, exact: Deadline) -> bool {

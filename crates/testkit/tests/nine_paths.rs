@@ -8,7 +8,9 @@
 //! block), the `Recalibrate` wire op against **both** server
 //! implementations, and the cluster router with its primary killed
 //! right after the swap. Every post-recalibration stream must be
-//! bit-identical to the reference.
+//! bit-identical to the reference. A seed-derived coin decides
+//! whether the cluster leg's replicas reach the backup, and the test
+//! asserts both recovery branches (restore and promotion) occurred.
 //!
 //! Alongside the stream oracle sits the alarm-kind separation the
 //! drift family exists to prove: over excited windows of each
@@ -20,6 +22,7 @@
 //! always `cargo run --release -p awsad-testkit --bin fuzz -- --repro
 //! <seed>`.
 
+use awsad_cluster::Recoveries;
 use awsad_core::{DriftConfig, DriftVerdict, IdentError, ModelIdentifier};
 use awsad_linalg::Vector;
 use awsad_net::{NetServer, NetServerConfig};
@@ -38,13 +41,15 @@ fn one_hundred_drift_scenarios_recalibrate_bit_identically_on_every_path() {
         NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind net server");
     let mut rng = StdRng::seed_from_u64(0x9_5EED);
     let mut failures = Vec::new();
+    let mut branches = Recoveries::default();
     for _ in 0..SCENARIOS {
         let seed = SeedSpec::drift(rng.random_range(0..=u64::MAX));
         let scenario = Scenario::from_seed(&seed);
-        if let Err(e) =
-            check_recalibrate_path(&scenario, server.local_addr(), net_server.local_addr())
-        {
-            failures.push(format!("{e}\n  repro: {}", seed.repro_command()));
+        match check_recalibrate_path(&scenario, server.local_addr(), net_server.local_addr()) {
+            Ok(run) => {
+                branches += run;
+            }
+            Err(e) => failures.push(format!("{e}\n  repro: {}", seed.repro_command())),
         }
         if failures.len() >= 3 {
             break; // enough evidence; don't grind through the rest
@@ -57,6 +62,11 @@ fn one_hundred_drift_scenarios_recalibrate_bit_identically_on_every_path() {
         "recalibration-path divergence on {} scenario(s):\n{}",
         failures.len(),
         failures.join("\n")
+    );
+    println!("recal-cluster failovers by branch: {branches:?}");
+    assert!(
+        branches.restored > 0 && branches.adopted + branches.replayed > 0,
+        "the seed coin must cover both recovery branches: {branches:?}"
     );
 }
 

@@ -2,15 +2,18 @@
 //! registry scenarios streamed through a fresh 3-shard
 //! `awsad-cluster` ring with the session's primary killed mid-stream,
 //! asserting the `AdaptiveStep` stream bit-identical to direct
-//! stepping. A seed-derived coin decides per scenario whether
-//! replication is flushed before the kill, so both recovery paths —
-//! promoting the ring successor's replica and restoring the client's
-//! own checkpoint — stay covered across the corpus.
+//! stepping. A seed-derived coin picks the kill point per scenario —
+//! before the first batch, when no replica exists, or after a flushed
+//! checkpoint — so both recovery branches, restoring the client's own
+//! checkpoint and promoting the ring successor's replica, run across
+//! the corpus; the oracle checks each scenario took its coin's branch
+//! and the test asserts both occurred.
 //!
 //! Every scenario that fails prints its seed string, so the repro is
 //! always `cargo run --release -p awsad-testkit --bin fuzz -- --repro
 //! <seed>`.
 
+use awsad_cluster::Recoveries;
 use awsad_testkit::oracle::{cluster_steps, direct_steps};
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use rand::rngs::StdRng;
@@ -22,13 +25,17 @@ const SCENARIOS: u64 = 100;
 fn one_hundred_registry_scenarios_survive_a_mid_stream_shard_kill() {
     let mut rng = StdRng::seed_from_u64(0x7_5EED);
     let mut failures = Vec::new();
+    let mut branches = Recoveries::default();
     for _ in 0..SCENARIOS {
         let seed = SeedSpec::registry(rng.random_range(0..=u64::MAX));
         let scenario = Scenario::from_seed(&seed);
         let reference = direct_steps(&scenario);
         match cluster_steps(&scenario) {
-            Ok(steps) if steps == reference => {}
-            Ok(steps) => {
+            Ok(run) if run.steps == reference => {
+                branches += run.recoveries;
+            }
+            Ok(run) => {
+                let steps = run.steps;
                 let at = steps
                     .iter()
                     .zip(&reference)
@@ -52,5 +59,10 @@ fn one_hundred_registry_scenarios_survive_a_mid_stream_shard_kill() {
         "cluster-path divergence on {} scenario(s):\n{}",
         failures.len(),
         failures.join("\n")
+    );
+    println!("cluster failovers by branch: {branches:?}");
+    assert!(
+        branches.restored > 0 && branches.adopted + branches.replayed > 0,
+        "the seed coin must cover both recovery branches: {branches:?}"
     );
 }
