@@ -5,7 +5,8 @@
 //! number of checkpoints. It must equal what the byte-budget rule
 //! predicts — checkpoint once the tick log's f64 count reaches the
 //! checkpoint's — and the primary must ship one replica per checkpoint
-//! after the open-time one.
+//! after the open-time one, which the backup (and only the backup)
+//! counts as stored.
 
 use std::time::Duration;
 
@@ -107,6 +108,19 @@ fn checkpoints_follow_the_byte_budget_rule() {
         predicted,
         "one replica per post-open checkpoint"
     );
+    // `sessions_replicated` counts replicas a node stored, not sent.
+    let backup = (0..2).find(|&s| s != primary).expect("two shards");
+    let stored = |s| {
+        cluster
+            .shard(s)
+            .expect("shard is live")
+            .server
+            .engine_metrics()
+            .sessions_replicated
+    };
+    assert_eq!(predicted, 7, "the pinned trace's checkpoint count");
+    assert_eq!(stored(backup), predicted, "the backup stored every replica");
+    assert_eq!(stored(primary), 0, "the primary stored none");
     println!("{predicted} checkpoints over {batches} batches");
     cluster.shutdown();
 }

@@ -19,9 +19,10 @@
 //! * [`server`] — [`server::NetServer`]: a small pool of I/O shards,
 //!   each owning a listener share, a connection slab, and its **own**
 //!   [`awsad_runtime::DetectionEngine`], with sessions pinned to
-//!   shards by a stable function of the session id. No cross-shard
-//!   locks anywhere on the tick path; the one cross-shard operation
-//!   is the `MetricsQuery` merge.
+//!   shards by a stable function of the session id. A shard steps each
+//!   `Tick` batch on its own thread in the loop turn that read it. No
+//!   cross-shard locks anywhere on the tick path; the one cross-shard
+//!   operation is the `MetricsQuery` merge.
 //!
 //! Every existing client — `awsad_serve::client::Client`,
 //! `awsad_serve::reconnect::ReconnectingClient` — works against this

@@ -11,8 +11,9 @@
 //! * a slab of connection states with incremental frame decode
 //!   ([`crate::codec::FrameAssembler`]) and vectored reply writes
 //!   ([`crate::codec::WriteQueue`]);
-//! * its **own** [`DetectionEngine`], so a session's ticks never cross
-//!   a shard boundary or contend on a cross-shard lock;
+//! * its **own** [`DetectionEngine`], built without a worker pool, so
+//!   a session's ticks are stepped on the shard thread itself and never
+//!   cross a thread or contend on a cross-shard lock;
 //! * a shard-local session registry keyed by wire session id.
 //!
 //! Sessions are pinned to shards by a stable function of the session
@@ -27,18 +28,17 @@
 //! The loop is level-triggered: a handler that stops mid-work (a full
 //! request queue, a write that hit `EAGAIN`) is simply re-notified on
 //! the next wait. Per readiness event a connection advances through
-//! read → decode → enqueue requests → serve → queue replies → flush;
-//! a `Tick` batch parks as the connection's single in-flight engine
-//! batch, and the engine's drain doorbell
-//! ([`DetectionEngine::set_drain_notifier`] writing one byte into the
-//! shard's wake pipe) re-enters the loop to collect outcomes — the
-//! event loop never blocks on the engine.
+//! read → decode → enqueue requests → serve → queue replies → flush,
+//! all in one loop turn: a `Tick` batch is stepped to completion
+//! ([`SessionHandle::step_batch`]) as soon as its frame is served, and
+//! its reply is queued right behind it. The wake pipe only nudges the
+//! shard at shutdown.
 //!
 //! Backpressure is the request-queue bound: a connection with
 //! [`REQUEST_QUEUE_CAP`] undecoded requests stops being read, which
 //! fills the kernel socket buffer, which stalls the sender — TCP
-//! doing the throttling, exactly like the blocking server's bounded
-//! engine queue but one layer down.
+//! doing the throttling, exactly like the blocking server, whose
+//! reader steps a batch before it reads the next frame.
 //!
 //! # Protocol fidelity
 //!
@@ -55,18 +55,17 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use awsad_linalg::{Matrix, Vector};
-use awsad_runtime::{DetectionEngine, RuntimeMetrics, SessionHandle, Tick, TickOutcome};
+use awsad_linalg::Matrix;
+use awsad_runtime::{DetectionEngine, RuntimeMetrics, SessionHandle};
 use awsad_serve::server::{
-    session_parts_for_spec, wire_metrics, ReplicationUpdate, ServerConfig, TransportMetrics,
+    session_parts_for_spec, tick_reply, wire_metrics, ReplicationUpdate, ServerConfig,
+    TransportMetrics,
 };
-use awsad_serve::wire::{
-    ErrorCode, Frame, RingMember, SessionSpec, WireOutcome, WireSessionState, WireTick,
-};
+use awsad_serve::wire::{ErrorCode, Frame, RingMember, SessionSpec, WireSessionState, WireTick};
 
 use crate::codec::{BufferPool, FrameAssembler, ReadStatus, WriteQueue};
 use crate::sys::{Interest, Poller, PollerBackend};
@@ -77,16 +76,15 @@ pub const REQUEST_QUEUE_CAP: usize = 32;
 
 /// Poller token of the shard's listener clone.
 const TOKEN_LISTENER: u64 = 0;
-/// Poller token of the shard's wake pipe (engine doorbell + shutdown).
+/// Poller token of the shard's wake pipe (shutdown nudges).
 const TOKEN_WAKE: u64 = 1;
 /// Connection tokens start here; the low 32 bits are `slot + 2`, the
 /// high 32 bits a generation counter so an event raced against slot
 /// reuse can be recognized as stale and dropped.
 const TOKEN_CONN_BASE: u64 = 2;
 
-/// Cadence of the maintenance sweep (frame deadline, session TTL,
-/// outcome timeout) — also the poller wait bound, so sweeps run even
-/// on a silent shard.
+/// Cadence of the maintenance sweep (frame deadline, session TTL) —
+/// also the poller wait bound, so sweeps run even on a silent shard.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Construction parameters for [`NetServer`].
@@ -94,14 +92,16 @@ const SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 pub struct NetServerConfig {
     /// Protocol-level configuration, shared verbatim with the
     /// blocking server: engine shape (applied **per shard**), frame
-    /// size limit, outcome timeout, per-connection session limit,
-    /// server name, session TTL, and frame deadline.
-    /// `read_timeout` is ignored — a readiness loop has no blocking
-    /// reads to bound.
+    /// size limit, per-connection session limit, server name, session
+    /// TTL, and frame deadline. Each shard steps ticks on its own
+    /// thread, so of the engine shape only `queue_capacity`,
+    /// `backpressure` and `drain_batch` apply; `workers` and
+    /// `cross_session_batch` are ignored. `read_timeout` is ignored
+    /// too — a readiness loop has no blocking reads to bound.
     pub base: ServerConfig,
     /// I/O shard count; `0` (the default) sizes to available
-    /// parallelism, clamped to `1..=4` (each shard also carries its
-    /// engine's workers, so shard count is not the whole story).
+    /// parallelism, clamped to `1..=4`. A shard is one thread and
+    /// does all of its own detection work.
     pub shards: usize,
     /// Force the portable `poll(2)` backend even where epoll is
     /// available (diagnostics and differential testing).
@@ -246,7 +246,7 @@ impl NetServer {
         let shards: Vec<Arc<ShardShared>> = (0..nshards)
             .map(|_| {
                 Arc::new(ShardShared {
-                    engine: DetectionEngine::new(config.base.engine.clone()),
+                    engine: DetectionEngine::without_pool(config.base.engine.clone()),
                     stats: ShardStats::default(),
                 })
             })
@@ -268,13 +268,6 @@ impl NetServer {
             let (wake_rx, wake_tx) = UnixStream::pair()?;
             wake_rx.set_nonblocking(true)?;
             wake_tx.set_nonblocking(true)?;
-            // The engine's drain doorbell: rings the shard awake when
-            // outcomes become collectable. Nonblocking — a full pipe
-            // already holds a pending wake, so a dropped byte is fine.
-            let doorbell = wake_tx.try_clone()?;
-            shared.shards[idx].engine.set_drain_notifier(move || {
-                let _ = (&doorbell).write(&[1]);
-            });
             wakers.push(wake_tx);
             let shard = Shard::new(
                 idx,
@@ -332,9 +325,8 @@ impl NetServer {
         self.shared.summed_resumes()
     }
 
-    /// Stops every shard: connections close, sessions drop (queued
-    /// ticks still drain on each shard's engine), threads join.
-    /// Idempotent.
+    /// Stops every shard: connections close, sessions drop, threads
+    /// join. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for w in &self.wakers {
@@ -371,23 +363,7 @@ struct NetSession {
     /// detector stack from this spec at promotion time.
     spec: SessionSpec,
     last_used: Instant,
-    /// An engine batch is in flight — the TTL sweep must not evict
-    /// (the analogue of the blocking server's `try_lock` skip).
-    busy: bool,
     handle: SessionHandle,
-    outcomes: mpsc::Receiver<TickOutcome>,
-}
-
-/// A `Tick` batch submitted to the engine, awaiting its outcomes. At
-/// most one exists per connection, which preserves the blocking
-/// server's strict request→reply ordering.
-struct PendingBatch {
-    /// Wire session id the reply will name.
-    session: u64,
-    corr: Option<u64>,
-    expected: usize,
-    outcomes: Vec<WireOutcome>,
-    since: Instant,
 }
 
 /// Per-connection state in the shard slab.
@@ -400,7 +376,6 @@ struct Conn {
     resumes_reported: u64,
     writes: WriteQueue,
     requests: VecDeque<awsad_serve::wire::Envelope>,
-    pending: Option<PendingBatch>,
     /// Interest currently registered with the poller.
     interest: Interest,
     /// Peer closed its write side cleanly at a frame boundary; serve
@@ -414,21 +389,6 @@ struct Conn {
     drop_counted: bool,
     /// Sessions currently owned (O(1) session-limit check).
     sessions_open: usize,
-}
-
-/// What serving one request produced.
-//
-// `Frame` is large (MetricsReply carries every runtime counter), but a
-// `Served` lives only from `serve_frame` to the match in the caller —
-// boxing the frame would buy nothing except an allocation per request
-// on the serve hot path.
-#[allow(clippy::large_enum_variant)]
-enum Served {
-    /// An immediate reply frame.
-    Reply(Frame),
-    /// A `Tick` batch went to the engine; the reply forms when the
-    /// outcomes arrive.
-    Batch(PendingBatch),
 }
 
 /// One I/O shard: poller, listener clone, wake pipe, connection slab,
@@ -507,30 +467,23 @@ impl Shard {
                 break;
             }
             std::mem::swap(&mut self.events, &mut events);
-            let mut pump = false;
             for i in 0..self.events.len() {
                 let ev = self.events[i];
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => {
-                        self.drain_wake_pipe();
-                        pump = true;
-                    }
+                    TOKEN_WAKE => self.drain_wake_pipe(),
                     token => self.conn_event(token),
                 }
             }
             self.events.clear();
             std::mem::swap(&mut self.events, &mut events);
-            if pump {
-                self.pump_all();
-            }
             if self.last_sweep.elapsed() >= SWEEP_INTERVAL {
                 self.sweep();
                 self.last_sweep = Instant::now();
             }
         }
         // Shutdown: deregister and drop everything; each session
-        // handle's Drop closes it and the engine drains what's queued.
+        // handle's Drop closes it.
         for slot in 0..self.conns.len() {
             if self.conns[slot].is_some() {
                 self.close_conn(slot, false);
@@ -586,7 +539,6 @@ impl Shard {
             resumes_reported: 0,
             writes: WriteQueue::default(),
             requests: VecDeque::new(),
-            pending: None,
             interest: Interest::READ,
             read_eof: false,
             poisoned: false,
@@ -673,9 +625,8 @@ impl Shard {
         }
     }
 
-    /// Serves queued requests, collects a completed pending batch,
-    /// flushes, updates poller interest, and closes if the connection
-    /// has nothing left to live for.
+    /// Serves queued requests, flushes, updates poller interest, and
+    /// closes if the connection has nothing left to live for.
     fn advance(&mut self, slot: usize) {
         self.serve_requests(slot);
         if self.conns[slot].is_none() {
@@ -692,7 +643,7 @@ impl Shard {
             self.close_conn(slot, false);
             return;
         }
-        if conn.read_eof && done_writing && conn.requests.is_empty() && conn.pending.is_none() {
+        if conn.read_eof && done_writing && conn.requests.is_empty() {
             // Clean close at a frame boundary: not a drop.
             self.close_conn(slot, false);
             return;
@@ -711,35 +662,21 @@ impl Shard {
         }
     }
 
-    /// Serves requests in arrival order until the queue empties or a
-    /// `Tick` batch parks as the in-flight pending batch (strict
-    /// request→reply ordering: nothing overtakes an unanswered Tick).
+    /// Serves requests in arrival order until the queue empties, each
+    /// reply queued before the next request is looked at (strict
+    /// request→reply ordering).
     fn serve_requests(&mut self, slot: usize) {
         loop {
-            let env = {
-                let conn = self.conns[slot].as_mut().expect("live conn");
-                if conn.pending.is_some() || conn.poisoned {
-                    return;
-                }
-                match conn.requests.pop_front() {
-                    Some(env) => env,
-                    None => return,
-                }
-            };
-            let token = self.conns[slot].as_ref().expect("live conn").token;
-            match self.serve_frame(token, env.frame) {
-                Served::Reply(reply) => self.queue_reply(slot, &reply, env.corr),
-                Served::Batch(mut batch) => {
-                    batch.corr = env.corr;
-                    if let Some(sess) = self.sessions.get_mut(&batch.session) {
-                        sess.busy = true;
-                    }
-                    self.conns[slot].as_mut().expect("live conn").pending = Some(batch);
-                    // Outcomes may already be waiting (the doorbell
-                    // can beat us here); collect eagerly.
-                    self.pump_conn(slot);
-                }
+            let conn = self.conns[slot].as_mut().expect("live conn");
+            if conn.poisoned {
+                return;
             }
+            let Some(env) = conn.requests.pop_front() else {
+                return;
+            };
+            let token = conn.token;
+            let reply = self.serve_frame(token, env.frame);
+            self.queue_reply(slot, &reply, env.corr);
         }
     }
 
@@ -766,68 +703,17 @@ impl Shard {
         }
     }
 
-    /// Collects outcomes for every connection with an in-flight
-    /// batch. Runs once per loop iteration after the doorbell rang —
-    /// coalesced, so a burst of engine drains costs one pass.
-    fn pump_all(&mut self) {
-        for slot in 0..self.conns.len() {
-            if matches!(&self.conns[slot], Some(c) if c.pending.is_some()) {
-                self.pump_conn(slot);
-                if self.conns[slot].is_some() {
-                    self.advance(slot);
-                }
-            }
-        }
-    }
-
-    /// Drains available outcomes into `slot`'s pending batch; when
-    /// complete, queues the `TickOutcomes` reply and serves whatever
-    /// requests queued up behind it.
-    fn pump_conn(&mut self, slot: usize) {
-        let conn = self.conns[slot].as_mut().expect("live conn");
-        let Some(pending) = conn.pending.as_mut() else {
-            return;
-        };
-        let Some(sess) = self.sessions.get_mut(&pending.session) else {
-            // The session vanished under the batch (shutdown path);
-            // the outcome-timeout sweep will answer.
-            return;
-        };
-        while pending.outcomes.len() < pending.expected {
-            match sess.outcomes.try_recv() {
-                Ok(outcome) => pending.outcomes.push(WireOutcome::from_outcome(&outcome)),
-                Err(_) => break,
-            }
-        }
-        if pending.outcomes.len() < pending.expected {
-            return;
-        }
-        let batch = conn.pending.take().expect("pending batch");
-        sess.busy = false;
-        sess.last_used = Instant::now();
-        let reply = Frame::TickOutcomes {
-            session: batch.session,
-            outcomes: batch.outcomes,
-        };
-        self.queue_reply(slot, &reply, batch.corr);
-        self.serve_requests(slot);
-    }
-
-    /// Drains the wake pipe (engine doorbell and shutdown nudges are
-    /// both just bytes; what matters is that the loop woke).
+    /// Drains the wake pipe (shutdown nudges are just bytes; what
+    /// matters is that the loop woke).
     fn drain_wake_pipe(&mut self) {
         let mut buf = [0u8; 64];
         while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 
-    /// The maintenance sweep: slow-loris frame deadlines, outcome
-    /// timeouts, and session TTL eviction. Also a pump safety net —
-    /// the doorbell is at-least-once, but a missed edge only ever
-    /// costs one sweep interval of reply latency.
+    /// The maintenance sweep: slow-loris frame deadlines and session
+    /// TTL eviction.
     fn sweep(&mut self) {
-        self.pump_all();
         let frame_deadline = self.shared.config.base.frame_deadline;
-        let outcome_timeout = self.shared.config.base.outcome_timeout;
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns[slot].as_ref() else {
                 continue;
@@ -838,34 +724,13 @@ impl Shard {
             if matches!(conn.assembler.mid_frame_since(), Some(since) if since.elapsed() >= frame_deadline)
             {
                 self.close_conn(slot, !self.shared.shutdown.load(Ordering::SeqCst));
-                continue;
-            }
-            // An engine batch past the outcome deadline answers
-            // `Timeout`, exactly like the blocking server's
-            // `recv_timeout` expiring.
-            if matches!(conn.pending.as_ref(), Some(p) if p.since.elapsed() >= outcome_timeout) {
-                let conn = self.conns[slot].as_mut().expect("live conn");
-                let batch = conn.pending.take().expect("pending batch");
-                if let Some(sess) = self.sessions.get_mut(&batch.session) {
-                    sess.busy = false;
-                }
-                let reply = error(
-                    ErrorCode::Timeout,
-                    format!(
-                        "engine produced {}/{} outcomes in time",
-                        batch.outcomes.len(),
-                        batch.expected
-                    ),
-                );
-                self.queue_reply(slot, &reply, batch.corr);
-                self.advance(slot);
             }
         }
         if let Some(ttl) = self.shared.config.base.session_ttl {
             let expired: Vec<u64> = self
                 .sessions
                 .iter()
-                .filter(|(_, s)| !s.busy && s.last_used.elapsed() >= ttl)
+                .filter(|(_, s)| s.last_used.elapsed() >= ttl)
                 .map(|(&id, _)| id)
                 .collect();
             for id in expired {
@@ -898,8 +763,7 @@ impl Shard {
                 .fetch_add(1, Ordering::Relaxed);
         }
         if conn.sessions_open > 0 {
-            // Dropping the entries closes the sessions; the engine
-            // still drains whatever was queued.
+            // Dropping the entries closes the sessions.
             self.sessions.retain(|_, s| s.owner != conn.token);
         }
         self.conns_active -= 1;
@@ -909,46 +773,39 @@ impl Shard {
     /// Serves one request frame. Mirrors the blocking server's
     /// `handle_frame` case for case — same codes, same messages — so
     /// clients cannot tell the servers apart.
-    fn serve_frame(&mut self, conn_token: u64, frame: Frame) -> Served {
+    fn serve_frame(&mut self, conn_token: u64, frame: Frame) -> Frame {
         match frame {
-            Frame::Hello { client: _ } => Served::Reply(Frame::HelloAck {
+            Frame::Hello { client: _ } => Frame::HelloAck {
                 server: self.shared.config.base.server_name.clone(),
-            }),
+            },
             Frame::OpenSession(spec) => self.open_session(conn_token, &spec, None),
             // A wire-level restore starts a fresh snapshot lineage
             // (generation 0), same as the blocking server.
             Frame::RestoreSession { spec, state } => {
                 self.open_session(conn_token, &spec, Some((&state, 0)))
             }
-            Frame::Tick { session, ticks } => self.start_ticks(conn_token, session, ticks),
-            Frame::SnapshotSession { session } => {
-                Served::Reply(self.snapshot_session(conn_token, session))
-            }
+            Frame::Tick { session, ticks } => self.run_ticks(conn_token, session, ticks),
+            Frame::SnapshotSession { session } => self.snapshot_session(conn_token, session),
             Frame::Recalibrate {
                 session,
                 state_dim,
                 input_dim,
                 a,
                 b,
-            } => Served::Reply(
-                self.recalibrate_session(conn_token, session, state_dim, input_dim, &a, &b),
-            ),
-            Frame::CloseSession { session } => {
-                let reply = match self.sessions.get(&session) {
-                    Some(s) if s.owner == conn_token => {
-                        if let Some(sess) = self.sessions.remove(&session) {
-                            if let Some(slot) = self.slot_of(conn_token) {
-                                let conn = self.conns[slot].as_mut().expect("live conn");
-                                conn.sessions_open = conn.sessions_open.saturating_sub(1);
-                            }
-                            drop(sess);
+            } => self.recalibrate_session(conn_token, session, state_dim, input_dim, &a, &b),
+            Frame::CloseSession { session } => match self.sessions.get(&session) {
+                Some(s) if s.owner == conn_token => {
+                    if let Some(sess) = self.sessions.remove(&session) {
+                        if let Some(slot) = self.slot_of(conn_token) {
+                            let conn = self.conns[slot].as_mut().expect("live conn");
+                            conn.sessions_open = conn.sessions_open.saturating_sub(1);
                         }
-                        Frame::SessionClosed { session }
+                        drop(sess);
                     }
-                    _ => error(ErrorCode::UnknownSession, format!("session {session}")),
-                };
-                Served::Reply(reply)
-            }
+                    Frame::SessionClosed { session }
+                }
+                _ => error(ErrorCode::UnknownSession, format!("session {session}")),
+            },
             Frame::MetricsQuery => {
                 // The one cross-shard read: fold every shard's engine
                 // snapshot and sum the transport counters, then fill
@@ -959,18 +816,16 @@ impl Shard {
                 );
                 wm.shards = self.nshards as u64;
                 wm.partial_frame_resumes = self.shared.summed_resumes();
-                Served::Reply(Frame::MetricsReply(wm))
+                Frame::MetricsReply(wm)
             }
             Frame::ReplicateSnapshot {
                 key,
                 generation,
                 spec,
                 state,
-            } => Served::Reply(self.store_replica(key, generation, spec, state)),
+            } => self.store_replica(key, generation, spec, state),
             Frame::PromoteSession { key } => self.promote_session(conn_token, key),
-            Frame::RingUpdate { epoch, members } => {
-                Served::Reply(self.ring_update(epoch, &members))
-            }
+            Frame::RingUpdate { epoch, members } => self.ring_update(epoch, &members),
             Frame::HelloAck { .. }
             | Frame::SessionOpened { .. }
             | Frame::TickOutcomes { .. }
@@ -979,10 +834,10 @@ impl Shard {
             | Frame::SessionSnapshot { .. }
             | Frame::RecalibrateAck { .. }
             | Frame::ReplicateAck { .. }
-            | Frame::Error { .. } => Served::Reply(error(
+            | Frame::Error { .. } => error(
                 ErrorCode::Internal,
                 "reply-direction frame is not a valid request",
-            )),
+            ),
         }
     }
 
@@ -1015,31 +870,27 @@ impl Shard {
                 state,
             },
         );
+        self.shard.engine.record_replica_stored();
         Frame::ReplicateAck { key, generation }
     }
 
     /// Turns the stored replica under `key` into a live session on
     /// *this* shard's engine, owned by the requesting connection. The
     /// replica is consumed; the reply echoes the restored state.
-    fn promote_session(&mut self, conn_token: u64, key: u64) -> Served {
+    fn promote_session(&mut self, conn_token: u64, key: u64) -> Frame {
         let entry = {
             let mut replicas = self.shared.replicas.lock().expect("replica store lock");
             match replicas.remove(&key) {
                 Some(entry) => entry,
-                None => {
-                    return Served::Reply(error(
-                        ErrorCode::UnknownSession,
-                        format!("replica {key}"),
-                    ))
-                }
+                None => return error(ErrorCode::UnknownSession, format!("replica {key}")),
             }
         };
-        let served = self.open_session(
+        let reply = self.open_session(
             conn_token,
             &entry.spec,
             Some((&entry.state, entry.generation)),
         );
-        let Served::Reply(Frame::SessionOpened { session, .. }) = served else {
+        let Frame::SessionOpened { session, .. } = reply else {
             // The restore failed; put the replica back so a retry can
             // still promote it.
             self.shared
@@ -1047,13 +898,13 @@ impl Shard {
                 .lock()
                 .expect("replica store lock")
                 .insert(key, entry);
-            return served;
+            return reply;
         };
         self.shard.engine.record_failover();
-        Served::Reply(Frame::SessionSnapshot {
+        Frame::SessionSnapshot {
             session,
             state: entry.state,
-        })
+        }
     }
 
     /// Accepts a ring-membership update, ignoring stale epochs.
@@ -1079,22 +930,24 @@ impl Shard {
         conn_token: u64,
         spec: &SessionSpec,
         restore: Option<(&WireSessionState, u64)>,
-    ) -> Served {
+    ) -> Frame {
         let limit = self.shared.config.base.max_sessions_per_connection;
         let Some(slot) = self.slot_of(conn_token) else {
-            return Served::Reply(error(ErrorCode::Internal, "connection gone"));
+            return error(ErrorCode::Internal, "connection gone");
         };
         if self.conns[slot].as_ref().expect("live conn").sessions_open >= limit {
-            return Served::Reply(error(
+            return error(
                 ErrorCode::SessionLimit,
                 format!("connection already holds {limit} sessions"),
-            ));
+            );
         }
         let (logger, detector, state_dim, input_dim) = match session_parts_for_spec(spec) {
             Ok(parts) => parts,
-            Err((code, msg)) => return Served::Reply(error(code, msg)),
+            Err((code, msg)) => return error(code, msg),
         };
-        let (handle, outcomes) = match restore {
+        // Outcomes come back from `step_batch`; the session's channel
+        // goes unused.
+        let (handle, _) = match restore {
             None => self.shard.engine.add_session(logger, detector),
             Some((state, generation)) => {
                 let mut snapshot = state.to_snapshot();
@@ -1105,12 +958,7 @@ impl Shard {
                     .restore_session(logger, detector, &snapshot)
                 {
                     Ok(pair) => pair,
-                    Err(e) => {
-                        return Served::Reply(error(
-                            ErrorCode::BadSnapshot,
-                            format!("restore: {e}"),
-                        ))
-                    }
+                    Err(e) => return error(ErrorCode::BadSnapshot, format!("restore: {e}")),
                 }
             }
         };
@@ -1127,41 +975,33 @@ impl Shard {
                 input_dim,
                 spec: spec.clone(),
                 last_used: Instant::now(),
-                busy: false,
                 handle,
-                outcomes,
             },
         );
         self.conns[slot].as_mut().expect("live conn").sessions_open += 1;
-        Served::Reply(Frame::SessionOpened {
+        Frame::SessionOpened {
             session: id,
             state_dim: state_dim as u32,
             input_dim: input_dim as u32,
-        })
+        }
     }
 
-    /// Validates and submits a `Tick` batch. Whole-batch dimension
-    /// validation happens before anything is submitted (a
-    /// half-submitted batch would desynchronize the outcome stream).
-    fn start_ticks(&mut self, conn_token: u64, session: u64, ticks: Vec<WireTick>) -> Served {
+    /// Validates a `Tick` batch and steps it on this thread. Whole-batch
+    /// dimension validation happens before anything is stepped (a
+    /// half-stepped batch would desynchronize the outcome stream).
+    fn run_ticks(&mut self, conn_token: u64, session: u64, ticks: Vec<WireTick>) -> Frame {
         let Some(sess) = self.sessions.get_mut(&session) else {
-            return Served::Reply(error(
-                ErrorCode::UnknownSession,
-                format!("session {session}"),
-            ));
+            return error(ErrorCode::UnknownSession, format!("session {session}"));
         };
         if sess.owner != conn_token {
             // Another connection's session answers exactly like a
             // missing one: ids must not leak across clients.
-            return Served::Reply(error(
-                ErrorCode::UnknownSession,
-                format!("session {session}"),
-            ));
+            return error(ErrorCode::UnknownSession, format!("session {session}"));
         }
         sess.last_used = Instant::now();
         for (i, tick) in ticks.iter().enumerate() {
             if tick.estimate.len() != sess.state_dim || tick.input.len() != sess.input_dim {
-                return Served::Reply(error(
+                return error(
                     ErrorCode::DimensionMismatch,
                     format!(
                         "tick {i}: got estimate/input dims {}/{}, session wants {}/{}",
@@ -1170,36 +1010,10 @@ impl Shard {
                         sess.state_dim,
                         sess.input_dim
                     ),
-                ));
+                );
             }
         }
-        let n = ticks.len();
-        for tick in ticks {
-            // Under the Block policy a saturated session queue parks
-            // the shard here briefly — the same backpressure the
-            // blocking server applies, compressed into the submit.
-            // Degrade never parks.
-            if sess
-                .handle
-                .submit(Tick {
-                    estimate: Vector::from_vec(tick.estimate),
-                    input: Vector::from_vec(tick.input),
-                })
-                .is_err()
-            {
-                return Served::Reply(error(
-                    ErrorCode::UnknownSession,
-                    "session closed under batch",
-                ));
-            }
-        }
-        Served::Batch(PendingBatch {
-            session,
-            corr: None, // filled by the caller from the envelope
-            expected: n,
-            outcomes: Vec::with_capacity(n),
-            since: Instant::now(),
-        })
+        tick_reply(session, ticks, &sess.handle)
     }
 
     fn snapshot_session(&mut self, conn_token: u64, session: u64) -> Frame {
@@ -1210,9 +1024,8 @@ impl Shard {
             return error(ErrorCode::UnknownSession, format!("session {session}"));
         }
         sess.last_used = Instant::now();
-        // Strict request→reply ordering means the session's prior
-        // batch (if any) already delivered its outcomes, so this only
-        // waits for queue drain — effectively instant.
+        // Every batch was stepped before its reply, so nothing is in
+        // flight and the snapshot never waits.
         let snapshot = sess.handle.snapshot();
         let state = WireSessionState::from_snapshot(&snapshot);
         if let Some(sink) = &self.shared.config.base.replication {
@@ -1228,7 +1041,7 @@ impl Shard {
                     spec: sess.spec.clone(),
                     state: state.clone(),
                 });
-                self.shard.engine.record_replication(lag);
+                self.shard.engine.record_replication_lag(lag);
             }
         }
         Frame::SessionSnapshot { session, state }
@@ -1273,8 +1086,8 @@ impl Shard {
         let m = input_dim as usize;
         let a = Matrix::from_row_major(n, n, a.to_vec()).expect("A validated on decode");
         let b = Matrix::from_row_major(n, m, b.to_vec()).expect("B validated on decode");
-        // Strict request→reply ordering means no batch is in flight,
-        // so the engine-side quiescence wait is effectively instant.
+        // Nothing is in flight (see `snapshot_session`), so the
+        // engine's quiescence wait returns at once.
         let recal_count = match sess.handle.recalibrate(&a, &b) {
             Ok(count) => count,
             Err(e) => return reject(&self.shard.stats, format!("recalibrate: {e}")),

@@ -22,9 +22,10 @@ use std::time::{Duration, Instant};
 use awsad_core::{AdaptiveDetector, AdaptiveStep, DetectorConfig};
 use awsad_models::Simulator;
 use awsad_net::{NetServer, NetServerConfig};
-use awsad_runtime::{DetectionEngine, EngineConfig, Tick, TickOutcome};
+use awsad_runtime::{BackpressurePolicy, DetectionEngine, EngineConfig, Tick, TickOutcome};
 use awsad_serve::client::{Client, ClientError};
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{
     read_envelope, write_frame_corr, ErrorCode, Frame, SessionSpec, WireTick, DEFAULT_MAX_FRAME_LEN,
 };
@@ -436,6 +437,42 @@ fn empty_tick_batch_answers_immediately() {
         .tick(session.id, &pinned_trace(1)[0].estimate, &[0.0])
         .unwrap();
     assert_eq!(outcome.seq, 0);
+    server.shutdown();
+}
+
+#[test]
+fn degrade_policy_reaches_the_wire() {
+    // The blocking server's rule, on a shard: a request is stepped
+    // where it was read, the batch stands in for the session queue,
+    // and of one 64-tick request exactly the ticks past the two-tick
+    // capacity come back degraded, in seq order.
+    let config = NetServerConfig {
+        base: ServerConfig {
+            engine: EngineConfig {
+                queue_capacity: 2,
+                backpressure: BackpressurePolicy::Degrade,
+                ..EngineConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+        ..two_shard_config()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let session = client
+        .open_session(&SessionSpec::model_defaults(2))
+        .unwrap();
+    let trace = pinned_trace(64);
+    let outcomes = client.tick_batch(session.id, &trace).unwrap();
+    let seqs: Vec<u64> = outcomes.iter().map(|o| o.seq).collect();
+    assert_eq!(seqs, (0..64).collect::<Vec<u64>>());
+    let degraded: Vec<bool> = outcomes.iter().map(|o| o.degraded).collect();
+    assert_eq!(degraded, (0..64).map(|i| i >= 2).collect::<Vec<bool>>());
+    let w_m = Simulator::VehicleTurning.build().default_max_window as u64;
+    for o in outcomes.iter().filter(|o| o.degraded) {
+        assert_eq!(o.window, w_m);
+    }
+    assert_eq!(client.metrics().unwrap().degraded_ticks, 64 - 2);
     server.shutdown();
 }
 

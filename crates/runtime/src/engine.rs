@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Instant;
 
 use awsad_core::{
@@ -27,7 +27,9 @@ pub enum BackpressurePolicy {
     /// reachability query — the cheap, conservative-for-false-positives
     /// fallback of [`AdaptiveDetector::step_degraded`]. The queue can
     /// transiently exceed its capacity by the burst size; it shrinks
-    /// back as the cheap path drains faster.
+    /// back as the cheap path drains faster. A
+    /// [`SessionHandle::step_batch`] call has no queue: its ticks past
+    /// `queue_capacity` take this path.
     Degrade,
 }
 
@@ -35,6 +37,7 @@ pub enum BackpressurePolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads shared by all sessions (`0` = one per CPU).
+    /// Ignored by [`DetectionEngine::without_pool`].
     pub workers: usize,
     /// Per-session input-queue capacity (clamped to ≥ 1).
     pub queue_capacity: usize,
@@ -249,13 +252,6 @@ struct EngineShared {
     pending: Mutex<u64>,
     idle: Condvar,
     next_id: Mutex<u64>,
-    /// Optional hook invoked on a pool worker after every drained
-    /// batch's outcomes have been sent. Lets a readiness-based caller
-    /// (an event loop that must never block on a channel) get a
-    /// doorbell — e.g. a byte written to a wake pipe — instead of
-    /// parking in `recv`. Set once; `get` on the hot path is a plain
-    /// atomic load.
-    drain_notifier: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Batch mode only: every session ever added, for the mega-drain's
     /// gather pass. Weak so closed-and-dropped sessions don't leak
     /// (dead entries are pruned on each gather).
@@ -272,7 +268,10 @@ struct EngineShared {
 /// [`DataLogger`] plus an [`AdaptiveDetector`] (optionally with a
 /// deadline cache installed) — and receives measurement [`Tick`]s
 /// through a bounded queue. A fixed [`WorkerPool`] shared by all
-/// sessions drains the queues: sessions are independent and process
+/// sessions drains the queues (an engine built
+/// [`without_pool`](DetectionEngine::without_pool) drains on the
+/// submitting thread, or steps batches where they arrive through
+/// [`SessionHandle::step_batch`]): sessions are independent and process
 /// concurrently, while ticks *within* a session are strictly
 /// serialized in submission order, so every session produces exactly
 /// the [`AdaptiveStep`] sequence the detector would produce standalone.
@@ -327,7 +326,7 @@ struct EngineShared {
 /// ```
 #[derive(Debug)]
 pub struct DetectionEngine {
-    pool: Arc<WorkerPool>,
+    pool: Option<Arc<WorkerPool>>,
     shared: Arc<EngineShared>,
 }
 
@@ -342,12 +341,26 @@ impl std::fmt::Debug for EngineShared {
 impl DetectionEngine {
     /// Creates an engine with its own worker pool.
     pub fn new(config: EngineConfig) -> Self {
+        let pool = Arc::new(WorkerPool::new(config.workers));
+        Self::with_pool(config, Some(pool))
+    }
+
+    /// Creates an engine with no worker pool and no threads of its
+    /// own ([`EngineConfig::workers`] is ignored). It is built for
+    /// callers that step each batch where it arrives, through
+    /// [`SessionHandle::step_batch`]; [`SessionHandle::submit`] still
+    /// works, and drains the session on the submitting thread before
+    /// it returns.
+    pub fn without_pool(config: EngineConfig) -> Self {
+        Self::with_pool(config, None)
+    }
+
+    fn with_pool(config: EngineConfig, pool: Option<Arc<WorkerPool>>) -> Self {
         let config = EngineConfig {
             queue_capacity: config.queue_capacity.max(1),
             drain_batch: config.drain_batch.max(1),
             ..config
         };
-        let pool = Arc::new(WorkerPool::new(config.workers));
         DetectionEngine {
             pool,
             shared: Arc::new(EngineShared {
@@ -356,7 +369,6 @@ impl DetectionEngine {
                 pending: Mutex::new(0),
                 idle: Condvar::new(),
                 next_id: Mutex::new(0),
-                drain_notifier: OnceLock::new(),
                 sessions: Mutex::new(Vec::new()),
                 batch_scheduled: Mutex::new(false),
             }),
@@ -368,23 +380,10 @@ impl DetectionEngine {
         &self.shared.config
     }
 
-    /// Installs a callback invoked on a pool worker after each drained
-    /// batch of outcomes has been sent (at-least-once per batch; may
-    /// coalesce nothing — callers must treat it as a doorbell and
-    /// re-check their receivers). Intended for event-loop hosts that
-    /// cannot block in `recv`: the callback typically writes one byte
-    /// to a wake pipe registered with the host's poller.
-    ///
-    /// The notifier can be set only once per engine; later calls
-    /// return `false` and leave the original in place. It must not
-    /// block and must not call back into the engine.
-    pub fn set_drain_notifier(&self, notify: impl Fn() + Send + Sync + 'static) -> bool {
-        self.shared.drain_notifier.set(Box::new(notify)).is_ok()
-    }
-
-    /// The number of pool worker threads.
+    /// The number of pool worker threads (`0` for an engine built with
+    /// [`DetectionEngine::without_pool`]).
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.pool.as_ref().map_or(0, |pool| pool.workers())
     }
 
     /// Opens a new detection session around a logger/detector pair and
@@ -473,7 +472,7 @@ impl DetectionEngine {
         (
             SessionHandle {
                 slot,
-                pool: Arc::clone(&self.pool),
+                pool: self.pool.clone(),
             },
             rx,
         )
@@ -485,19 +484,26 @@ impl DetectionEngine {
     }
 
     /// Records one session snapshot accepted into this node's replica
-    /// store, with the replication backlog observed at that moment
-    /// (`lag` = snapshots queued on the egress side but not yet
-    /// acknowledged). Bumps `sessions_replicated` and raises
-    /// `replication_lag_hwm` to `lag` if it is a new high-water.
+    /// store (a stale generation that was refused does not count).
+    /// Bumps `sessions_replicated`.
     ///
     /// The engine itself never replicates; this is the hook the
     /// serving layers use so replication health aggregates through
     /// [`RuntimeMetrics::merged`] exactly like every other counter.
-    pub fn record_replication(&self, lag: u64) {
+    pub fn record_replica_stored(&self) {
         self.shared
             .metrics
             .sessions_replicated
             .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records the replication backlog seen when this node handed a
+    /// snapshot to its egress (`lag` = snapshots queued but not yet
+    /// acknowledged by the backup), raising `replication_lag_hwm` to
+    /// `lag` if it is a new high-water. See
+    /// [`DetectionEngine::record_replica_stored`] for why this lives
+    /// on the engine.
+    pub fn record_replication_lag(&self, lag: u64) {
         self.shared
             .metrics
             .replication_lag_hwm
@@ -506,8 +512,8 @@ impl DetectionEngine {
 
     /// Records one replica promotion (a stored backup snapshot turned
     /// into a live session after its primary died). See
-    /// [`DetectionEngine::record_replication`] for why this lives on
-    /// the engine.
+    /// [`DetectionEngine::record_replica_stored`] for why this lives
+    /// on the engine.
     pub fn record_failover(&self) {
         self.shared
             .metrics
@@ -531,7 +537,9 @@ impl DetectionEngine {
 #[derive(Debug)]
 pub struct SessionHandle {
     slot: Arc<SessionSlot>,
-    pool: Arc<WorkerPool>,
+    /// `None` for an engine built without a pool: drains then run on
+    /// the submitting thread.
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl std::fmt::Debug for SessionSlot {
@@ -650,31 +658,146 @@ impl SessionHandle {
         Ok(())
     }
 
+    /// Steps a batch of this session's ticks on the calling thread and
+    /// returns their outcomes in order — the run-to-completion entry
+    /// point for hosts that answer each request in the turn that read
+    /// it (both servers). No queue, channel or worker is involved.
+    ///
+    /// The ticks take the pool drain's own scalar path: in chunks of
+    /// [`EngineConfig::drain_batch`] (each chunk prewarms the deadline
+    /// cache with one batched walk), logged, then stepped. The batch
+    /// stands in for the session queue, so under
+    /// [`BackpressurePolicy::Degrade`] tick `i` takes the degraded step
+    /// exactly when `i >= queue_capacity`; under
+    /// [`BackpressurePolicy::Block`] none does — the caller steps
+    /// before it reads more, which is its backpressure. Every
+    /// [`RuntimeMetrics`] counter moves as it does for submitted ticks,
+    /// except `queue_depth_high_water`: nothing is queued.
+    ///
+    /// Ticks already [`submit`](Self::submit)ted to this session are
+    /// processed first (the call waits for them, as
+    /// [`SessionHandle::snapshot`] does), so `seq` numbering stays one
+    /// FIFO. A panic inside the logger or detector fails the session
+    /// exactly as in a pool drain: the outcomes stop before the
+    /// panicking tick, so the result is then shorter than the batch.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::SessionClosed`] when the session is closed (or
+    /// failed earlier); nothing is stepped.
+    pub fn step_batch<I>(&self, ticks: I) -> Result<Vec<TickOutcome>, SubmitError>
+    where
+        I: IntoIterator<Item = Tick>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let engine = &self.slot.engine;
+        let ticks = ticks.into_iter();
+        let n = ticks.len();
+        let first_seq = {
+            let mut inbox = lock_recover(&self.slot.inbox);
+            while !inbox.ticks.is_empty() || inbox.scheduled {
+                inbox = wait_recover(&self.slot.space, inbox);
+            }
+            if inbox.closed {
+                return Err(SubmitError::SessionClosed);
+            }
+            // Claim the session as a drain does, so no pool drain or
+            // snapshot runs while it steps here.
+            inbox.scheduled = true;
+            inbox.next_seq += n as u64;
+            inbox.next_seq - n as u64
+        };
+        engine
+            .metrics
+            .ticks_submitted
+            .fetch_add(n as u64, Ordering::Relaxed);
+
+        let config = &engine.config;
+        let degrade_from = match config.backpressure {
+            BackpressurePolicy::Block => usize::MAX,
+            BackpressurePolicy::Degrade => config.queue_capacity,
+        };
+        let mut outcomes = Vec::with_capacity(n);
+        let mut chunk = Vec::with_capacity(config.drain_batch.min(n));
+        let mut state = lock_recover(&self.slot.state);
+        let SessionState {
+            logger, detector, ..
+        } = &mut *state;
+        let mut ticks = ticks.take(n).enumerate().peekable();
+        while let Some((i, tick)) = ticks.next() {
+            chunk.push(QueuedTick {
+                seq: first_seq + i as u64,
+                degraded: i >= degrade_from,
+                tick,
+            });
+            if chunk.len() == config.drain_batch || ticks.peek().is_none() {
+                process_batch_scalar(&self.slot, logger, detector, &mut chunk, |outcome| {
+                    outcomes.push(outcome)
+                });
+                // A contained panic failed the session: the rest of
+                // the batch is dropped, as a pool drain drops a failed
+                // session's queue.
+                if self.slot.failed.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+        }
+        drop(state);
+
+        let mut inbox = lock_recover(&self.slot.inbox);
+        inbox.scheduled = false;
+        if inbox.ticks.is_empty() {
+            drop(inbox);
+        } else {
+            // A submit landed while the session was claimed and found
+            // it scheduled; start the drain it could not.
+            self.schedule_drain(inbox);
+        }
+        self.slot.space.notify_all();
+        Ok(outcomes)
+    }
+
     /// Queues whatever drain the engine mode calls for after a push:
     /// scalar mode schedules this session's own drain (serialized by
     /// `Inbox::scheduled`), batch mode rings the engine-wide
     /// mega-drain (serialized by `EngineShared::batch_scheduled` —
     /// per-session `scheduled` is left alone; the mega-drain uses it
     /// as its claim marker during gather).
+    ///
+    /// Without a pool the drain runs right here, on the submitting
+    /// thread, before `submit` returns.
     fn schedule_drain(&self, mut inbox: std::sync::MutexGuard<'_, Inbox>) {
         let engine = &self.slot.engine;
         if engine.config.cross_session_batch {
             drop(inbox);
             let mut scheduled = lock_recover(&engine.batch_scheduled);
-            if !*scheduled {
-                *scheduled = true;
-                let shared = Arc::clone(engine);
-                let pool = Arc::clone(&self.pool);
-                let pool2 = Arc::clone(&self.pool);
-                pool.execute(move || mega_drain(&shared, &pool2));
+            if *scheduled {
+                return;
+            }
+            *scheduled = true;
+            // Released before an inline drain, which retakes it to
+            // retire.
+            drop(scheduled);
+            let shared = Arc::clone(engine);
+            match &self.pool {
+                Some(pool) => {
+                    let pool2 = Arc::clone(pool);
+                    pool.execute(move || mega_drain(&shared, Some(&pool2)));
+                }
+                None => mega_drain(&shared, None),
             }
         } else {
             let schedule = !inbox.scheduled;
             inbox.scheduled = true;
             drop(inbox);
             if schedule {
-                let slot = Arc::clone(&self.slot);
-                self.pool.execute(move || drain_session(&slot));
+                match &self.pool {
+                    Some(pool) => {
+                        let slot = Arc::clone(&self.slot);
+                        pool.execute(move || drain_session(&slot));
+                    }
+                    None => drain_session(&self.slot),
+                }
             }
         }
     }
@@ -853,7 +976,7 @@ fn drain_session(slot: &SessionSlot) {
         slot.space.notify_all();
 
         let engine = &slot.engine;
-        let processed = process_batch_scalar(slot, &mut state, &mut batch).0;
+        let processed = state.process_queued(slot, &mut batch).0;
         drop(state);
 
         let mut pending = lock_recover(&engine.pending);
@@ -861,23 +984,32 @@ fn drain_session(slot: &SessionSlot) {
         if *pending == 0 {
             engine.idle.notify_all();
         }
-        drop(pending);
+    }
+}
 
-        // Ring the host's doorbell after the batch's outcomes are
-        // visible on their channels (and after `pending` has been
-        // published, so a host that polls `metrics()` on wake sees a
-        // consistent backlog).
-        if let Some(notify) = engine.drain_notifier.get() {
-            notify();
-        }
+impl SessionState {
+    /// [`process_batch_scalar`] with every outcome sent down the
+    /// session's channel — the pool drains' way out.
+    fn process_queued(&mut self, slot: &SessionSlot, batch: &mut Vec<QueuedTick>) -> (u64, u64) {
+        let SessionState {
+            logger,
+            detector,
+            outcomes,
+        } = self;
+        process_batch_scalar(slot, logger, detector, batch, |outcome| {
+            // The receiver may be gone (caller only wanted metrics).
+            let _ = outcomes.send(outcome);
+        })
     }
 }
 
 /// Steps one session through an already-popped batch of its ticks on
-/// the scalar path — the common core of the per-session drain and the
-/// mega-drain's fallback for unbatchable sessions. Updates every
-/// metric except the pending count (the callers own that, at
-/// different granularities). Returns `(processed, degraded)` counts.
+/// the scalar path — the common core of the per-session drain, the
+/// mega-drain's fallback for unbatchable sessions and
+/// [`SessionHandle::step_batch`]. Hands each outcome to `emit`, in
+/// order. Updates every metric except `ticks_submitted` and the
+/// pending count (the callers own those, at different
+/// granularities). Returns `(processed, degraded)` counts.
 ///
 /// When the batch carries more than one tick and the detector has a
 /// deadline cache, the batch's estimates are prewarmed with one
@@ -887,15 +1019,12 @@ fn drain_session(slot: &SessionSlot) {
 /// unchanged.
 fn process_batch_scalar(
     slot: &SessionSlot,
-    state: &mut SessionState,
+    logger: &mut DataLogger,
+    detector: &mut AdaptiveDetector,
     batch: &mut Vec<QueuedTick>,
+    mut emit: impl FnMut(TickOutcome),
 ) -> (u64, u64) {
     let engine = &slot.engine;
-    let SessionState {
-        logger,
-        detector,
-        outcomes,
-    } = state;
 
     if batch.len() > 1 && detector.has_deadline_cache() {
         let estimates: Vec<&Vector> = batch
@@ -957,9 +1086,7 @@ fn process_batch_scalar(
         if step.alarm() {
             alarms += 1;
         }
-
-        // The receiver may be gone (caller only wanted metrics).
-        let _ = outcomes.send(TickOutcome {
+        emit(TickOutcome {
             session: slot.id,
             seq: queued.seq,
             degraded: queued.degraded,
@@ -1045,7 +1172,10 @@ struct GroupLatch {
 /// progress never depends on another worker being free). Unbatchable
 /// sessions (`batch_key == None`) and degraded ticks take the scalar
 /// path, so every outcome stream is bit-identical to scalar mode.
-fn mega_drain(shared: &Arc<EngineShared>, pool: &Arc<WorkerPool>) {
+///
+/// With no pool (an engine built by [`DetectionEngine::without_pool`])
+/// it runs on the submitting thread and processes every group itself.
+fn mega_drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
     let drain_batch = shared.config.drain_batch;
     let mut plan = BatchPlan::new();
     loop {
@@ -1120,7 +1250,8 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: &Arc<WorkerPool>) {
 
         // Scatter: spare workers take whole groups. Never wait on a
         // dispatched task unless another worker exists to run it.
-        if groups.len() > 1 && pool.workers() > 1 {
+        let spare = pool.filter(|pool| pool.workers() > 1);
+        if let (true, Some(pool)) = (groups.len() > 1, spare) {
             let latch = Arc::new(GroupLatch {
                 remaining: Mutex::new(groups.len() - 1),
                 done: Condvar::new(),
@@ -1156,13 +1287,6 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: &Arc<WorkerPool>) {
         if *pending == 0 {
             shared.idle.notify_all();
         }
-        drop(pending);
-
-        // As in scalar mode: doorbell after outcomes and pending are
-        // both published.
-        if let Some(notify) = shared.drain_notifier.get() {
-            notify();
-        }
     }
 }
 
@@ -1187,7 +1311,7 @@ fn process_group(
     if lock_recover(&group[0].0.batch_key).is_none() {
         for (slot, batch) in group.iter_mut() {
             let mut state = lock_recover(&slot.state);
-            let (processed, degraded) = process_batch_scalar(slot, &mut state, batch);
+            let (processed, degraded) = state.process_queued(slot, batch);
             drop(state);
             shared
                 .metrics
@@ -1402,33 +1526,166 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_notifier_fires_after_outcomes_are_receivable() {
-        let engine = DetectionEngine::new(EngineConfig::default());
-        let fired = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let fired2 = Arc::clone(&fired);
-        assert!(engine.set_drain_notifier(move || {
-            fired2.fetch_add(1, Ordering::Relaxed);
-        }));
-        // Second install is rejected, first stays.
-        assert!(!engine.set_drain_notifier(|| {}));
+    /// Direct reference: `trace` stepped on a standalone detector,
+    /// degraded where `degraded(i)` says.
+    fn direct_steps(trace: &[f64], degraded: impl Fn(usize) -> bool) -> Vec<AdaptiveStep> {
+        let (mut logger, mut det) = parts(0.28, 10);
+        trace
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                logger.record(Vector::from_slice(&[x]), Vector::from_slice(&[0.0]));
+                if degraded(i) {
+                    det.step_degraded(&logger)
+                } else {
+                    det.step(&logger)
+                }
+            })
+            .collect()
+    }
 
-        let (logger, det) = parts(0.5, 10);
-        let (session, outcomes) = engine.add_session(logger, det);
-        for i in 0..5 {
-            session.submit(tick(i as f64 * 0.01)).unwrap();
+    #[test]
+    fn step_batch_matches_direct_stepping_after_submitted_ticks() {
+        let trace: Vec<f64> = (0..45).map(|t| 0.05 * t as f64).collect();
+        let expected = direct_steps(&trace, |_| false);
+        for engine in [
+            DetectionEngine::new(EngineConfig::default()),
+            DetectionEngine::without_pool(EngineConfig::default()),
+        ] {
+            let (logger, det) = parts(0.28, 10);
+            let (session, outcomes) = engine.add_session(logger, det);
+            // Submitted ticks come first; the batch continues their seq.
+            for &x in &trace[..5] {
+                session.submit(tick(x)).unwrap();
+            }
+            let got = session
+                .step_batch(trace[5..].iter().map(|&x| tick(x)))
+                .unwrap();
+            let queued: Vec<TickOutcome> = outcomes.try_iter().collect();
+            assert_eq!(queued.len(), 5, "workers = {}", engine.workers());
+            assert_eq!(got.len(), 40);
+            for (i, o) in queued.iter().chain(&got).enumerate() {
+                assert_eq!(o.seq, i as u64);
+                assert_eq!(o.session, session.id());
+                assert!(!o.degraded);
+                assert_eq!(o.step, expected[i], "tick {i}");
+            }
+            let m = engine.metrics();
+            assert_eq!(m.ticks_submitted, 45);
+            assert_eq!(m.ticks_processed, 45);
+            assert_eq!(m.log_latency.count, 45);
+            assert_eq!(m.detect_latency.count, 45);
+            assert_eq!(session.snapshot().next_seq, 45);
         }
-        engine.drain();
-        // The doorbell rings *after* `pending` hits zero (drain() can
-        // return first), so give the worker a moment to get there.
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while fired.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
-            std::thread::yield_now();
+    }
+
+    #[test]
+    fn step_batch_degrades_exactly_past_queue_capacity() {
+        let trace: Vec<f64> = (0..10).map(|t| 0.2 * t as f64).collect();
+        for (policy, degraded_from) in [
+            (BackpressurePolicy::Degrade, 4),
+            (BackpressurePolicy::Block, usize::MAX),
+        ] {
+            let engine = DetectionEngine::without_pool(EngineConfig {
+                queue_capacity: 4,
+                backpressure: policy,
+                ..EngineConfig::default()
+            });
+            let (logger, det) = parts(0.28, 10);
+            let (session, _outcomes) = engine.add_session(logger, det);
+            let got = session.step_batch(trace.iter().map(|&x| tick(x))).unwrap();
+            let expected = direct_steps(&trace, |i| i >= degraded_from);
+            for (i, o) in got.iter().enumerate() {
+                assert_eq!(o.degraded, i >= degraded_from, "{policy:?} tick {i}");
+                assert_eq!(o.step, expected[i], "{policy:?} tick {i}");
+            }
+            let m = engine.metrics();
+            assert_eq!(m.degraded_ticks, 10u64.saturating_sub(degraded_from as u64));
+            assert_eq!(m.queue_depth_high_water, 0, "nothing was queued");
         }
-        // At least one ring per drained batch, and by the time it
-        // rang the outcomes were already on the channel.
-        assert!(fired.load(Ordering::Relaxed) >= 1);
-        assert_eq!(outcomes.try_iter().count(), 5);
+    }
+
+    #[test]
+    fn step_batch_prewarms_in_drain_batch_chunks() {
+        let trace: Vec<f64> = (0..32).map(|t| 0.01 * t as f64).collect();
+        let expected = direct_steps(&trace, |_| false);
+        for (drain_batch, prewarmed) in [(1, 0), (8, 32)] {
+            let engine = DetectionEngine::without_pool(EngineConfig {
+                drain_batch,
+                ..EngineConfig::default()
+            });
+            let (logger, mut det) = parts(0.28, 10);
+            det.set_deadline_cache(DeadlineCache::new(CacheConfig::exact(128)));
+            let (session, _outcomes) = engine.add_session(logger, det);
+            let got = session.step_batch(trace.iter().map(|&x| tick(x))).unwrap();
+            let steps: Vec<AdaptiveStep> = got.into_iter().map(|o| o.step).collect();
+            assert_eq!(steps, expected, "drain_batch = {drain_batch}");
+            assert_eq!(
+                engine.metrics().batched_deadline_queries,
+                prewarmed,
+                "drain_batch = {drain_batch}"
+            );
+        }
+    }
+
+    #[test]
+    fn step_batch_contains_a_panic_and_returns_short() {
+        let engine = DetectionEngine::without_pool(EngineConfig {
+            drain_batch: 2,
+            ..EngineConfig::default()
+        });
+        let (logger_a, det_a) = parts(1e6, 5);
+        let (session_a, _oa) = engine.add_session(logger_a, det_a);
+        let (logger_b, det_b) = parts(1e6, 5);
+        let (session_b, _ob) = engine.add_session(logger_b, det_b);
+        let batch = vec![tick(0.1), tick(0.1), tick(0.1), poison_tick(), tick(0.1)];
+        let got = session_a.step_batch(batch).unwrap();
+        assert_eq!(got.len(), 3, "outcomes stop before the panicking tick");
+        assert_eq!(
+            session_a.step_batch(vec![tick(0.1)]),
+            Err(SubmitError::SessionClosed)
+        );
+        assert_eq!(session_a.submit(tick(0.1)), Err(SubmitError::SessionClosed));
+        assert_eq!(session_b.step_batch(vec![tick(0.2); 4]).unwrap().len(), 4);
+        let m = engine.metrics();
+        assert_eq!(m.sessions_active, 1);
+        assert_eq!(
+            m.ticks_processed,
+            4 + 4,
+            "the dropped tail is not processed"
+        );
+    }
+
+    #[test]
+    fn engine_without_pool_drains_on_the_submitting_thread() {
+        for cross_session_batch in [false, true] {
+            let engine = DetectionEngine::without_pool(EngineConfig {
+                workers: 4,
+                cross_session_batch,
+                ..EngineConfig::default()
+            });
+            assert_eq!(engine.workers(), 0);
+            let trace: Vec<f64> = (0..30).map(|t| 0.04 * t as f64).collect();
+            let expected = direct_steps(&trace, |_| false);
+            let sessions: Vec<_> = (0..2)
+                .map(|_| {
+                    let (logger, det) = parts(0.28, 10);
+                    engine.add_session(logger, det)
+                })
+                .collect();
+            for &x in &trace {
+                for (session, _) in &sessions {
+                    session.submit(tick(x)).unwrap();
+                }
+            }
+            // No drain call: every outcome is already on its channel.
+            for (session, outcomes) in &sessions {
+                let steps: Vec<AdaptiveStep> = outcomes.try_iter().map(|o| o.step).collect();
+                assert_eq!(steps, expected, "batch = {cross_session_batch}");
+                assert_eq!(session.snapshot().next_seq, 30);
+            }
+            engine.drain();
+        }
     }
 
     #[test]
@@ -1909,9 +2166,12 @@ mod tests {
     #[test]
     fn replication_recorders_feed_metrics() {
         let engine = DetectionEngine::new(EngineConfig::default());
-        engine.record_replication(2);
-        engine.record_replication(5);
-        engine.record_replication(1);
+        for lag in [2, 5, 1] {
+            engine.record_replication_lag(lag);
+        }
+        for _ in 0..3 {
+            engine.record_replica_stored();
+        }
         engine.record_failover();
         let m = engine.metrics();
         assert_eq!(m.sessions_replicated, 3);

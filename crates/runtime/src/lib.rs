@@ -17,11 +17,17 @@
 //!   submission order (the detector is stateful), so each session's
 //!   [`TickOutcome`] stream is byte-identical to stepping the detector
 //!   directly; different sessions run concurrently on the pool.
+//! * [`SessionHandle::step_batch`] — run-to-completion: steps one
+//!   session's batch on the calling thread through the pool drain's
+//!   own scalar core and returns the outcomes. The servers use it on
+//!   engines built with [`DetectionEngine::without_pool`], so no tick
+//!   crosses a thread between the socket and its reply.
 //! * **Backpressure** — [`BackpressurePolicy::Block`] throttles the
 //!   producer when a queue is full; [`BackpressurePolicy::Degrade`]
 //!   accepts the tick but processes it on the documented cheap path
 //!   (window grown to `w_m`, no reachability query, outcome flagged
-//!   degraded).
+//!   degraded). A `step_batch` call has no queue: its batch stands in
+//!   for one, so under Degrade the ticks past `queue_capacity` degrade.
 //! * [`RuntimeMetrics`] — relaxed-atomic counters for throughput,
 //!   alarms, degraded ticks, queue high-water, and fixed-bucket
 //!   latency histograms for the logging and detection stages.

@@ -14,9 +14,11 @@
 //!   explicit (no serde on the wire path) and decoding of hostile
 //!   bytes can only fail with a typed [`wire::WireError`].
 //! * [`server`] — a std-only TCP **server**: one reader thread per
-//!   connection feeding one shared `DetectionEngine`, per-session
-//!   bounded queues riding the engine's Block/Degrade backpressure,
-//!   read timeouts, a max-frame-size guard enforced *before*
+//!   connection, each stepping its own requests' ticks on one shared
+//!   `DetectionEngine` that has no worker pool (the engine's
+//!   Block/Degrade policy applies per request — see
+//!   [`server::ServerConfig::engine`]), read timeouts, a
+//!   max-frame-size guard enforced *before*
 //!   allocation, per-connection error isolation (a malformed frame
 //!   kills only that connection and bumps a decode-error counter),
 //!   and graceful shutdown via a flag + listener wakeup.

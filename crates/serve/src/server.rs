@@ -9,8 +9,10 @@
 //! Each connection speaks a strict request/reply discipline: every
 //! decoded frame is answered by exactly one reply frame, and a
 //! request's correlation id (when present) is echoed on its reply.
-//! Cross-connection concurrency comes from the engine's worker pool,
-//! not from interleaving on a socket.
+//! The engine has no worker pool: a connection thread steps each
+//! `Tick` batch itself ([`SessionHandle::step_batch`]) before it reads
+//! the next frame, so cross-connection concurrency comes from the
+//! connection threads, not from interleaving on a socket.
 //!
 //! Session lifetime: a connection's sessions are closed when the
 //! connection ends (any cause). A client that wants its detector
@@ -40,14 +42,15 @@
 //! * overload maps onto the engine's own backpressure: under
 //!   [`BackpressurePolicy::Block`](awsad_runtime::BackpressurePolicy)
 //!   a flooding client is throttled by its own unanswered batch, and
-//!   under `Degrade` its over-quota ticks take the flagged cheap path
-//!   — either way other sessions' latency is protected.
+//!   under `Degrade` the ticks of one batch past the engine's
+//!   `queue_capacity` take the flagged cheap path — either way other
+//!   sessions' latency is protected.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -57,12 +60,12 @@ use awsad_models::Simulator;
 use awsad_reach::{CacheConfig, DeadlineCache};
 use awsad_runtime::{
     DetectionEngine, EngineConfig, LatencyHistogram, RuntimeMetrics, SessionHandle, Tick,
-    TickOutcome,
 };
 
 use crate::wire::{
     read_envelope, write_frame, write_frame_corr, ErrorCode, Frame, ReadFrameError, RingMember,
-    SessionSpec, WireLatency, WireMetrics, WireOutcome, WireSessionState, DEFAULT_MAX_FRAME_LEN,
+    SessionSpec, WireLatency, WireMetrics, WireOutcome, WireSessionState, WireTick,
+    DEFAULT_MAX_FRAME_LEN,
 };
 
 /// One session snapshot headed for a backup peer: the server hands
@@ -111,8 +114,13 @@ pub trait ReplicationSink: Send + Sync {
 /// Server construction parameters.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Engine configuration (worker count, queue capacity,
-    /// backpressure policy) for the shared detection engine.
+    /// Configuration of the server's detection engine. The engine has
+    /// no worker pool — the thread that reads a `Tick` request steps
+    /// it ([`SessionHandle::step_batch`]) — so only `queue_capacity`,
+    /// `backpressure` and `drain_batch` apply: under `Degrade` the
+    /// ticks of one batch past `queue_capacity` take the degraded
+    /// step, and `drain_batch` sizes the deadline-cache prewarm
+    /// chunks. `workers` and `cross_session_batch` are ignored.
     pub engine: EngineConfig,
     /// Maximum accepted frame payload length; larger declarations are
     /// rejected before allocation and drop the connection.
@@ -120,10 +128,6 @@ pub struct ServerConfig {
     /// Socket read timeout — the cadence at which idle connection
     /// threads re-check the shutdown flag.
     pub read_timeout: Duration,
-    /// How long a `Tick` request may wait for the engine to produce
-    /// its outcomes before the server answers with
-    /// [`ErrorCode::Timeout`].
-    pub outcome_timeout: Duration,
     /// Maximum sessions one connection may hold open.
     pub max_sessions_per_connection: usize,
     /// Name returned in the `HelloAck` handshake.
@@ -153,7 +157,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("engine", &self.engine)
             .field("max_frame_len", &self.max_frame_len)
             .field("read_timeout", &self.read_timeout)
-            .field("outcome_timeout", &self.outcome_timeout)
             .field(
                 "max_sessions_per_connection",
                 &self.max_sessions_per_connection,
@@ -172,7 +175,6 @@ impl Default for ServerConfig {
             engine: EngineConfig::default(),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             read_timeout: Duration::from_millis(100),
-            outcome_timeout: Duration::from_secs(30),
             max_sessions_per_connection: 64,
             server_name: format!("awsad-serve/{}", env!("CARGO_PKG_VERSION")),
             session_ttl: None,
@@ -233,14 +235,6 @@ impl TransportInner {
     }
 }
 
-/// The mutable half of a registered session. Locked for the duration
-/// of each request touching the session; the TTL sweep `try_lock`s it
-/// so an in-flight request is never evicted under itself.
-struct SessionInner {
-    handle: SessionHandle,
-    outcomes: mpsc::Receiver<TickOutcome>,
-}
-
 /// One open session in the server-wide registry.
 struct ServeSession {
     /// Connection that opened it; lookups from any other connection
@@ -252,7 +246,10 @@ struct ServeSession {
     /// detector stack from this spec at promotion time.
     spec: SessionSpec,
     last_used: Mutex<Instant>,
-    inner: Mutex<SessionInner>,
+    /// Locked for the duration of each request touching the session;
+    /// the TTL sweep `try_lock`s it so an in-flight request is never
+    /// evicted under itself.
+    handle: Mutex<SessionHandle>,
 }
 
 /// One backup copy held for a remote primary's session, keyed by the
@@ -316,7 +313,7 @@ impl Server {
         // sweep between connection attempts.
         listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
-            engine: DetectionEngine::new(config.engine.clone()),
+            engine: DetectionEngine::without_pool(config.engine.clone()),
             config,
             transport: TransportInner::default(),
             shutdown: AtomicBool::new(false),
@@ -355,8 +352,7 @@ impl Server {
     }
 
     /// Stops accepting, wakes every connection thread, and joins them
-    /// all. Sessions close; already-queued ticks still drain on the
-    /// engine. Idempotent.
+    /// all. Sessions close. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The accept thread polls the shutdown flag between
@@ -429,7 +425,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
 }
 
 /// Closes registry sessions idle past [`ServerConfig::session_ttl`].
-/// A session whose `inner` lock is held is mid-request — by
+/// A session whose `handle` lock is held is mid-request — by
 /// definition not idle — and is skipped via `try_lock`.
 fn sweep_idle_sessions(shared: &ServerShared) {
     let Some(ttl) = shared.config.session_ttl else {
@@ -438,10 +434,10 @@ fn sweep_idle_sessions(shared: &ServerShared) {
     let now = Instant::now();
     let mut registry = shared.sessions.lock().expect("session registry lock");
     registry.retain(|_, session| {
-        let Ok(_inner) = session.inner.try_lock() else {
+        let Ok(_handle) = session.handle.try_lock() else {
             return true;
         };
-        // Re-check idleness under the inner lock: a request that
+        // Re-check idleness under the handle lock: a request that
         // finished between our `now` and this try_lock has already
         // refreshed `last_used`.
         let last = *session.last_used.lock().expect("last_used lock");
@@ -592,8 +588,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>, conn_id: u64)
         }
     }
     // Close this connection's sessions: drop them from the registry
-    // (the handle's `Drop` closes each; the engine still drains
-    // whatever was already queued).
+    // (the handle's `Drop` closes each).
     shared
         .sessions
         .lock()
@@ -722,6 +717,7 @@ fn store_replica(
             state,
         },
     );
+    shared.engine.record_replica_stored();
     Frame::ReplicateAck { key, generation }
 }
 
@@ -915,7 +911,9 @@ fn open_session(
         Ok(parts) => parts,
         Err(reply) => return reply,
     };
-    let (handle, outcomes) = match restore {
+    // Outcomes come back from `step_batch`; the session's channel goes
+    // unused.
+    let (handle, _) = match restore {
         None => shared.engine.add_session(logger, detector),
         Some((state, generation)) => {
             let mut snapshot = state.to_snapshot();
@@ -939,7 +937,7 @@ fn open_session(
                 input_dim,
                 spec: spec.clone(),
                 last_used: Mutex::new(Instant::now()),
-                inner: Mutex::new(SessionInner { handle, outcomes }),
+                handle: Mutex::new(handle),
             }),
         );
     Frame::SessionOpened {
@@ -954,11 +952,10 @@ fn snapshot_session(shared: &ServerShared, conn_id: u64, session: u64) -> Frame 
         Ok(s) => s,
         Err(reply) => return reply,
     };
-    let inner = serve_session.inner.lock().expect("session inner lock");
-    // The strict request/reply discipline means every prior batch's
-    // outcomes have been delivered, so this only waits for queue
-    // drain (normally instant).
-    let snapshot = inner.handle.snapshot();
+    let handle = serve_session.handle.lock().expect("session handle lock");
+    // Every batch was stepped before its reply, so nothing is in
+    // flight and the snapshot never waits.
+    let snapshot = handle.snapshot();
     let state = WireSessionState::from_snapshot(&snapshot);
     if let Some(sink) = &shared.config.replication {
         // Replication egress: the backup receives the very state the
@@ -971,15 +968,14 @@ fn snapshot_session(shared: &ServerShared, conn_id: u64, session: u64) -> Frame 
                 spec: serve_session.spec.clone(),
                 state: state.clone(),
             });
-            shared.engine.record_replication(lag);
+            shared.engine.record_replication_lag(lag);
         }
     }
     Frame::SessionSnapshot { session, state }
 }
 
 /// Swaps a live session's plant model mid-stream (accepted model
-/// drift). The engine blocks until the session's queue is drained, so
-/// the swap is a clean cut between two ticks. Nothing is replicated
+/// drift), a clean cut between two ticks. Nothing is replicated
 /// here: the cluster router checkpoints right after a swap, and that
 /// `SnapshotSession` carries the recalibrated state to the backup.
 fn recalibrate_session(
@@ -1016,8 +1012,8 @@ fn recalibrate_session(
     let m = input_dim as usize;
     let a = Matrix::from_row_major(n, n, a.to_vec()).expect("A validated on decode");
     let b = Matrix::from_row_major(n, m, b.to_vec()).expect("B validated on decode");
-    let inner = serve_session.inner.lock().expect("session inner lock");
-    let recal_count = match inner.handle.recalibrate(&a, &b) {
+    let handle = serve_session.handle.lock().expect("session handle lock");
+    let recal_count = match handle.recalibrate(&a, &b) {
         Ok(count) => count,
         Err(e) => return reject(format!("recalibrate: {e}")),
     };
@@ -1027,19 +1023,14 @@ fn recalibrate_session(
     }
 }
 
-fn run_ticks(
-    shared: &ServerShared,
-    conn_id: u64,
-    session: u64,
-    ticks: Vec<crate::wire::WireTick>,
-) -> Frame {
+fn run_ticks(shared: &ServerShared, conn_id: u64, session: u64, ticks: Vec<WireTick>) -> Frame {
     let serve_session = match lookup_session(shared, conn_id, session) {
         Ok(s) => s,
         Err(reply) => return reply,
     };
-    // Validate the whole batch before submitting anything: the engine
-    // asserts on dimension mismatches, and a half-submitted batch
-    // would desynchronize the outcome stream.
+    // Validate the whole batch before stepping anything: the logger
+    // asserts on dimension mismatches, and a half-stepped batch would
+    // desynchronize the outcome stream.
     for (i, tick) in ticks.iter().enumerate() {
         if tick.estimate.len() != serve_session.state_dim
             || tick.input.len() != serve_session.input_dim
@@ -1056,37 +1047,33 @@ fn run_ticks(
             );
         }
     }
-    let inner = serve_session.inner.lock().expect("session inner lock");
+    let handle = serve_session.handle.lock().expect("session handle lock");
+    tick_reply(session, ticks, &handle)
+}
+
+/// Steps a validated `Tick` batch on the calling thread and builds its
+/// reply — the one tick path of both servers (`awsad-net` calls it
+/// too), so their replies agree by construction. A batch that comes
+/// back short (a panic inside the detector failed the session, which
+/// the engine contains) answers [`ErrorCode::Timeout`]; a closed
+/// session answers [`ErrorCode::UnknownSession`].
+pub fn tick_reply(session: u64, ticks: Vec<WireTick>, handle: &SessionHandle) -> Frame {
     let n = ticks.len();
-    for tick in ticks {
-        // Under the Block policy this throttles the producer right
-        // here — per-session bounded-queue backpressure reaching all
-        // the way back through TCP to the client, which is waiting on
-        // this very reply.
-        if inner
-            .handle
-            .submit(Tick {
-                estimate: Vector::from_vec(tick.estimate),
-                input: Vector::from_vec(tick.input),
-            })
-            .is_err()
-        {
-            return error(ErrorCode::UnknownSession, "session closed under batch");
-        }
+    let ticks = ticks.into_iter().map(|tick| Tick {
+        estimate: Vector::from_vec(tick.estimate),
+        input: Vector::from_vec(tick.input),
+    });
+    match handle.step_batch(ticks) {
+        Ok(outcomes) if outcomes.len() == n => Frame::TickOutcomes {
+            session,
+            outcomes: outcomes.iter().map(WireOutcome::from_outcome).collect(),
+        },
+        Ok(outcomes) => error(
+            ErrorCode::Timeout,
+            format!("engine produced {}/{n} outcomes in time", outcomes.len()),
+        ),
+        Err(_) => error(ErrorCode::UnknownSession, "session closed under batch"),
     }
-    let mut outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        match inner.outcomes.recv_timeout(shared.config.outcome_timeout) {
-            Ok(outcome) => outcomes.push(WireOutcome::from_outcome(&outcome)),
-            Err(_) => {
-                return error(
-                    ErrorCode::Timeout,
-                    format!("engine produced {}/{n} outcomes in time", outcomes.len()),
-                )
-            }
-        }
-    }
-    Frame::TickOutcomes { session, outcomes }
 }
 
 /// Collapses one [`LatencyHistogram`] into its wire summary

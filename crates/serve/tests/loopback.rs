@@ -21,7 +21,7 @@ use awsad_core::{AdaptiveDetector, AdaptiveStep, DetectorConfig};
 use awsad_models::Simulator;
 use awsad_runtime::{BackpressurePolicy, DetectionEngine, EngineConfig, Tick, TickOutcome};
 use awsad_serve::client::{Client, ClientError};
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::{session_parts_for_spec, tick_reply, Server, ServerConfig};
 use awsad_serve::wire::{self, ErrorCode, Frame, SessionSpec, WireTick};
 
 /// The pinned scenario: vehicle turning (Table 1 row 2) under a
@@ -323,13 +323,12 @@ fn metrics_aggregate_across_connections() {
 
 #[test]
 fn degrade_policy_reaches_the_wire() {
-    // A server running the Degrade policy with a tiny queue: a large
-    // batch overflows the session queue faster than the single-CPU
-    // pool drains it, so some outcomes come back flagged degraded —
-    // and the flag is visible to the remote client.
+    // A server running the Degrade policy with a two-tick queue: the
+    // batch stands in for the queue, so of one 64-tick request exactly
+    // the ticks past the first two come back flagged degraded — and
+    // the flag is visible to the remote client.
     let config = ServerConfig {
         engine: EngineConfig {
-            workers: 1,
             queue_capacity: 2,
             backpressure: BackpressurePolicy::Degrade,
             ..EngineConfig::default()
@@ -346,16 +345,52 @@ fn degrade_policy_reaches_the_wire() {
     assert_eq!(outcomes.len(), trace.len());
     let seqs: Vec<u64> = outcomes.iter().map(|o| o.seq).collect();
     assert_eq!(seqs, (0..trace.len() as u64).collect::<Vec<u64>>());
+    let degraded: Vec<bool> = outcomes.iter().map(|o| o.degraded).collect();
+    assert_eq!(degraded, (0..64).map(|i| i >= 2).collect::<Vec<bool>>());
     // Degraded ticks are pinned to the model's default w_m.
     let w_m = Simulator::VehicleTurning.build().default_max_window as u64;
     for o in outcomes.iter().filter(|o| o.degraded) {
         assert_eq!(o.window, w_m);
     }
-    assert_eq!(
-        client.metrics().unwrap().degraded_ticks,
-        outcomes.iter().filter(|o| o.degraded).count() as u64
-    );
+    assert_eq!(client.metrics().unwrap().degraded_ticks, 64 - 2);
     server.shutdown();
+}
+
+#[test]
+fn a_batch_that_comes_back_short_answers_timeout_at_once() {
+    // The tick path both servers share. A panic inside the logger or
+    // detector fails the session mid-batch (the engine contains it),
+    // so the batch comes back short: the reply is the `Timeout` error,
+    // given at once, and the next request finds the session closed.
+    // Servers reject wrong-dimension ticks before stepping, so only a
+    // direct call can reach the logger's dimension assert used here.
+    let spec = SessionSpec::model_defaults(2);
+    let (logger, detector, state_dim, input_dim) = session_parts_for_spec(&spec).unwrap();
+    let engine = DetectionEngine::without_pool(EngineConfig::default());
+    let (handle, _) = engine.add_session(logger, detector);
+    let good = WireTick {
+        estimate: vec![0.0; state_dim],
+        input: vec![0.0; input_dim],
+    };
+    let bad = WireTick {
+        estimate: vec![0.0; state_dim + 1],
+        input: vec![0.0; input_dim],
+    };
+    let batch = vec![good.clone(), good.clone(), bad, good.clone()];
+    assert_eq!(
+        tick_reply(7, batch, &handle),
+        Frame::Error {
+            code: ErrorCode::Timeout,
+            message: "engine produced 2/4 outcomes in time".into(),
+        }
+    );
+    assert_eq!(
+        tick_reply(7, vec![good], &handle),
+        Frame::Error {
+            code: ErrorCode::UnknownSession,
+            message: "session closed under batch".into(),
+        }
+    );
 }
 
 #[test]
