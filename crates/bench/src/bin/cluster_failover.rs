@@ -25,8 +25,9 @@ use std::time::{Duration, Instant};
 
 use awsad_bench::{write_json, Json};
 use awsad_cluster::LocalCluster;
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::Client;
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{Frame, SessionSpec, WireOutcome, WireTick};
 
 /// Live sessions opened across the ring (override with
@@ -64,7 +65,11 @@ fn server_config(sessions: usize) -> ServerConfig {
 /// The uninterrupted reference: the pinned trace through one plain
 /// server, batch by batch.
 fn reference_batches(trace: &[WireTick]) -> Vec<Vec<WireOutcome>> {
-    let server = Server::bind("127.0.0.1:0", server_config(1)).expect("bind reference");
+    let config = NetServerConfig {
+        base: server_config(1),
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config).expect("bind reference");
     let mut client = Client::connect(server.local_addr()).expect("connect reference");
     let session = client
         .open_session(&SessionSpec::model_defaults(2))

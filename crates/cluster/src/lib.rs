@@ -1,7 +1,7 @@
 //! Consistent-hash session sharding for the AWSAD detection service:
 //! snapshot replication, failover, and live migration.
 //!
-//! One serve/net process scales to one machine; monitoring a fleet of
+//! One server process scales to one machine; monitoring a fleet of
 //! plants needs many, and a detection session is *stateful* — its
 //! logger window and adaptive-detector state are the detection
 //! context, so losing a shard must not mean losing its sessions'
@@ -30,7 +30,8 @@
 //!   [`ClusterClient::drain_shard`] live-migrates every session off a
 //!   member with zero dropped ticks.
 //! * [`shard`] — [`LocalCluster`], an in-process N-shard launcher
-//!   used by the tests, the testkit's seventh oracle path, and the
+//!   (each shard one single-threaded `awsad_net::NetServer`) used by
+//!   the tests, the testkit's seventh oracle path, and the
 //!   `cluster_failover` benchmark.
 //!
 //! # Quickstart

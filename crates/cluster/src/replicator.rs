@@ -1,8 +1,8 @@
 //! Asynchronous snapshot replication from a shard to its ring
 //! successors.
 //!
-//! The serve/net servers call [`awsad_serve::ReplicationSink`] with
-//! every snapshot they return for `SnapshotSession` of a session that
+//! A shard's server calls [`awsad_serve::ReplicationSink`] with
+//! every snapshot it returns for `SnapshotSession` of a session that
 //! has ticked — the cluster router's checkpoints, so replication runs
 //! at the router's checkpoint cadence, not once per batch. The call
 //! happens *on the serving path*, so the sink must never block.

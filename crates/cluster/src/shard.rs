@@ -1,12 +1,15 @@
 //! In-process cluster launcher: N shard servers wired for
 //! replication, used by the tests, the differential oracle's seventh
-//! path, and the failover benchmark.
+//! path, and the failover benchmark. Each shard is one
+//! [`NetServer`] with one I/O shard, so a cluster shard is one event
+//! loop on one thread.
 
 use std::io;
 use std::sync::Arc;
 
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_runtime::RuntimeMetrics;
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::RingMember;
 use awsad_serve::ReplicationSink;
 
@@ -14,21 +17,21 @@ use crate::client::ClusterClient;
 use crate::replicator::Replicator;
 use crate::ring::HashRing;
 
-/// One launched shard: its ring identity, its blocking server, and
-/// the replication sink installed on it.
+/// One launched shard: its ring identity, its server, and the
+/// replication sink installed on it.
 pub struct ShardHandle {
     /// Ring identity (shard id + bound address).
     pub member: RingMember,
     /// The shard's server.
-    pub server: Server,
+    pub server: NetServer,
     /// The shard's replication egress.
     pub replicator: Arc<Replicator>,
 }
 
-/// An N-shard cluster on loopback: each shard is an
-/// [`awsad_serve::server::Server`] on an ephemeral port with a
-/// [`Replicator`] installed, and every replicator is seeded with the
-/// same epoch-1 ring so snapshot routing works from the first batch.
+/// An N-shard cluster on loopback: each shard is a one-thread
+/// [`NetServer`] on an ephemeral port with a [`Replicator`] installed,
+/// and every replicator is seeded with the same epoch-1 ring so
+/// snapshot routing works from the first batch.
 pub struct LocalCluster {
     shards: Vec<Option<ShardHandle>>,
     ring: HashRing,
@@ -77,11 +80,15 @@ impl LocalCluster {
             // each replicator starts on an empty epoch-0 view and is
             // seeded below.
             let replicator = Arc::new(Replicator::new(shard, HashRing::new(0, Vec::new())));
-            let config = ServerConfig {
-                replication: Some(sink(&replicator)),
-                ..base.clone()
+            let config = NetServerConfig {
+                base: ServerConfig {
+                    replication: Some(sink(&replicator)),
+                    ..base.clone()
+                },
+                shards: 1,
+                ..NetServerConfig::default()
             };
-            let server = Server::bind("127.0.0.1:0", config)?;
+            let server = NetServer::bind("127.0.0.1:0", config)?;
             let member = RingMember {
                 shard,
                 addr: server.local_addr().to_string(),

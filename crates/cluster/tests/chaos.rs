@@ -7,8 +7,9 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use awsad_cluster::{ClusterClient, ClusterSession, LocalCluster, Recoveries};
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::Client;
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{Frame, WireOutcome, WireTick};
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use awsad_testkit::{FaultPlan, FaultProxy, ReplyFault};
@@ -20,7 +21,8 @@ const BATCH: usize = 8;
 
 fn direct_outcomes(scenario: &Scenario) -> Vec<WireOutcome> {
     let spec = scenario.spec.as_ref().expect("registry scenario");
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind reference");
+    let server =
+        NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind reference");
     let mut client = Client::connect(server.local_addr()).expect("connect reference");
     let session = client.open_session(spec).expect("open reference");
     let mut outcomes = Vec::new();

@@ -11,8 +11,9 @@
 use std::time::Duration;
 
 use awsad_cluster::LocalCluster;
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::Client;
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{SessionSpec, WireSessionState, WireTick};
 
 const BATCH: usize = 8;
@@ -52,7 +53,7 @@ fn pinned_trace(n: usize, m: usize, len: usize) -> Vec<WireTick> {
 /// a plain server (snapshots are deterministic, so its states are the
 /// cluster's).
 fn predicted_checkpoints(spec: &SessionSpec, trace: &[WireTick]) -> u64 {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let session = client.open_session(spec).expect("open");
     let mut budget = payload(&client.snapshot_session(session.id).expect("snapshot"));

@@ -17,8 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use awsad_cluster::{ClusterClient, LocalCluster, Recoveries, Replicator};
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::Client;
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{Frame, RingMember, WireOutcome};
 use awsad_serve::{ReplicationSink, ReplicationUpdate};
 use awsad_testkit::scenario::{Scenario, SeedSpec};
@@ -31,7 +32,8 @@ const BATCH: usize = 8;
 /// plain server.
 fn direct_outcomes(scenario: &Scenario) -> Vec<WireOutcome> {
     let spec = scenario.spec.as_ref().expect("registry scenario");
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind reference");
+    let server =
+        NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind reference");
     let mut client = Client::connect(server.local_addr()).expect("connect reference");
     let session = client.open_session(spec).expect("open reference");
     let mut outcomes = Vec::new();
@@ -46,8 +48,8 @@ fn direct_outcomes(scenario: &Scenario) -> Vec<WireOutcome> {
     outcomes
 }
 
-/// Byte-level comparison under a fixed session id, exactly like the
-/// six-path oracle does between the serve and net servers.
+/// Byte-level comparison under a fixed session id: session ids differ
+/// between the cluster and the reference server, the outcomes may not.
 fn assert_wire_identical(seed: &SeedSpec, got: Vec<WireOutcome>, want: Vec<WireOutcome>) {
     let got_image = Frame::TickOutcomes {
         session: 0,
@@ -420,7 +422,8 @@ fn a_replica_cut_before_a_model_swap_is_not_adopted_after_it() {
     let (n, m) = recal.b.shape();
     let (n, m, a, b) = (n as u32, m as u32, recal.a.as_slice(), recal.b.as_slice());
 
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind reference");
+    let server =
+        NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind reference");
     let mut direct = Client::connect(server.local_addr()).expect("connect reference");
     let id = direct.open_session(spec).expect("open reference").id;
     let mut reference = direct.tick_batch(id, &scenario.trace[..at]).expect("batch");

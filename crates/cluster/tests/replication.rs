@@ -6,17 +6,18 @@
 
 use std::time::Duration;
 
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::{Client, ClientError};
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{ErrorCode, RingMember, SessionSpec, WireSessionState};
 
-fn server() -> Server {
-    Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind server")
+fn server() -> NetServer {
+    NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind server")
 }
 
 /// Opens a session on `donor`, streams a few ticks, and returns the
 /// spec plus the snapshot — a valid state image to replicate.
-fn donor_state(donor: &Server, ticks: usize) -> (SessionSpec, WireSessionState) {
+fn donor_state(donor: &NetServer, ticks: usize) -> (SessionSpec, WireSessionState) {
     let spec = SessionSpec::model_defaults(2);
     let mut client = Client::connect(donor.local_addr()).expect("connect donor");
     let session = client.open_session(&spec).expect("open donor session");
@@ -169,11 +170,14 @@ fn ring_epoch_is_monotonic_per_server() {
 /// never a stale state image that could then be promoted somewhere.
 #[test]
 fn snapshot_of_a_ttl_evicted_session_is_unknown_session_not_stale_state() {
-    let srv = Server::bind(
+    let srv = NetServer::bind(
         "127.0.0.1:0",
-        ServerConfig {
-            session_ttl: Some(Duration::from_millis(50)),
-            ..ServerConfig::default()
+        NetServerConfig {
+            base: ServerConfig {
+                session_ttl: Some(Duration::from_millis(50)),
+                ..ServerConfig::default()
+            },
+            ..NetServerConfig::default()
         },
     )
     .expect("bind ttl server");

@@ -1,7 +1,7 @@
 //! Incremental, buffer-pooled framing for nonblocking sockets.
 //!
-//! The blocking server can park a thread until a frame completes; an
-//! event loop cannot. [`FrameAssembler`] is the wire protocol's
+//! A blocking reader (the client's `read_envelope`) can park a thread
+//! until a frame completes; an event loop cannot. [`FrameAssembler`] is the wire protocol's
 //! length-prefix layer restated as a resumable state machine: bytes
 //! are read straight off the socket **into the frame's final payload
 //! buffer** (no staging buffer, no memmove when a frame arrives torn
@@ -118,8 +118,8 @@ pub enum ReadStatus {
 ///   nothing is shared, so garbage on one connection cannot perturb
 ///   another's decode;
 /// * the size limit is enforced on the declared length **before** the
-///   payload allocation, exactly like the blocking server's
-///   `read_envelope`.
+///   payload allocation, exactly like the blocking
+///   `awsad_serve::wire::read_envelope`.
 #[derive(Debug)]
 pub struct FrameAssembler {
     max_frame_len: u32,

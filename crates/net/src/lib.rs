@@ -1,12 +1,7 @@
-//! Readiness-based (epoll) detection serving for AWSAD: the same wire
-//! protocol as [`awsad_serve`], rehosted on an event loop that scales
-//! to tens of thousands of concurrent connections.
-//!
-//! The blocking server (`awsad_serve::server::Server`) spends one OS
-//! thread per connection — perfect clarity, bounded scale. This crate
-//! keeps every byte of its protocol behavior (frames, correlation-id
-//! echo, error codes and messages, `frame_deadline`, TTL eviction,
-//! snapshot/restore) and replaces only the hosting model:
+//! The AWSAD detection server: the [`awsad_serve`] wire protocol on an
+//! epoll event loop that scales to tens of thousands of concurrent
+//! connections. It is the workspace's only server; `awsad-cluster`
+//! runs one per shard.
 //!
 //! * [`sys`] — a std-only readiness abstraction: raw `epoll` on Linux
 //!   through thin syscall shims (no `libc` crate — std already links
@@ -24,10 +19,10 @@
 //!   cross-shard locks anywhere on the tick path; the one cross-shard
 //!   operation is the `MetricsQuery` merge.
 //!
-//! Every existing client — `awsad_serve::client::Client`,
-//! `awsad_serve::reconnect::ReconnectingClient` — works against this
-//! server unmodified; the `awsad-testkit` six-path differential
-//! oracle holds both servers to byte-identical outcome streams.
+//! The clients — `awsad_serve::client::Client`,
+//! `awsad_serve::reconnect::ReconnectingClient` — drive it; the
+//! `awsad-testkit` differential oracles hold its outcome streams
+//! bit-identical to stepping the detector directly.
 //!
 //! # Quickstart
 //!
@@ -37,7 +32,6 @@
 //! use awsad_serve::wire::SessionSpec;
 //!
 //! let server = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).unwrap();
-//! // The identical client code drives either server.
 //! let mut client = Client::connect(server.local_addr()).unwrap();
 //! let session = client.open_session(&SessionSpec::model_defaults(1)).unwrap();
 //! let outcome = client.tick(session.id, &[0.0, 0.0, 0.0], &[0.0]).unwrap();

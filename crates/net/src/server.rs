@@ -1,5 +1,6 @@
-//! The readiness-based detection server: a small pool of I/O shards,
-//! each running one event loop over one [`crate::sys::Poller`].
+//! The detection server: a small pool of I/O shards, each running one
+//! event loop over one [`crate::sys::Poller`]. It is the only server
+//! in the workspace; `awsad-cluster` runs one per shard.
 //!
 //! # Shard model
 //!
@@ -37,17 +38,20 @@
 //! Backpressure is the request-queue bound: a connection with
 //! [`REQUEST_QUEUE_CAP`] undecoded requests stops being read, which
 //! fills the kernel socket buffer, which stalls the sender — TCP
-//! doing the throttling, exactly like the blocking server, whose
-//! reader steps a batch before it reads the next frame.
+//! doing the throttling.
 //!
-//! # Protocol fidelity
+//! # Protocol
 //!
-//! The wire behavior is the blocking server's, bit for bit: same
-//! frames, same correlation-id echo, same error codes and messages,
-//! same `frame_deadline` slow-loris bound, same TTL eviction
-//! semantics, same session-ownership rules. Every existing client
-//! works unmodified; the six-path differential oracle in
-//! `awsad-testkit` holds the two servers to byte-identical streams.
+//! Every decoded request frame is answered by exactly one reply frame,
+//! in request order, with the request's correlation id echoed (a
+//! legacy corr-less request gets a corr-less reply). A malformed or
+//! oversized frame is answered with one `Internal` error frame and
+//! closes only its own connection. A frame that does not complete
+//! within [`ServerConfig::frame_deadline`] of its first byte drops the
+//! connection, so a slow-loris peer holds a connection slot, never a
+//! thread, and only for a bounded time. Sessions idle past
+//! [`ServerConfig::session_ttl`] are evicted by the same sweep. A
+//! session is reachable only from the connection that opened it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -59,13 +63,15 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use awsad_linalg::Matrix;
-use awsad_runtime::{DetectionEngine, RuntimeMetrics, SessionHandle};
+use awsad_linalg::{Matrix, Vector};
+use awsad_runtime::{DetectionEngine, LatencyHistogram, RuntimeMetrics, SessionHandle, Tick};
 use awsad_serve::server::{
-    session_parts_for_spec, tick_reply, wire_metrics, ReplicationUpdate, ServerConfig,
-    TransportMetrics,
+    session_parts_for_spec, ReplicationUpdate, ServerConfig, TransportMetrics,
 };
-use awsad_serve::wire::{ErrorCode, Frame, RingMember, SessionSpec, WireSessionState, WireTick};
+use awsad_serve::wire::{
+    ErrorCode, Frame, RingMember, SessionSpec, WireLatency, WireMetrics, WireOutcome,
+    WireSessionState, WireTick,
+};
 
 use crate::codec::{BufferPool, FrameAssembler, ReadStatus, WriteQueue};
 use crate::sys::{Interest, Poller, PollerBackend};
@@ -90,14 +96,12 @@ const SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 /// Construction parameters for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Protocol-level configuration, shared verbatim with the
-    /// blocking server: engine shape (applied **per shard**), frame
-    /// size limit, per-connection session limit, server name, session
-    /// TTL, and frame deadline. Each shard steps ticks on its own
-    /// thread, so of the engine shape only `queue_capacity`,
-    /// `backpressure` and `drain_batch` apply; `workers` and
-    /// `cross_session_batch` are ignored. `read_timeout` is ignored
-    /// too — a readiness loop has no blocking reads to bound.
+    /// Protocol-level configuration: engine shape (applied **per
+    /// shard**), frame size limit, per-connection session limit,
+    /// server name, session TTL, frame deadline and replication sink.
+    /// Each shard steps ticks on its own thread, so of the engine
+    /// shape only `queue_capacity`, `backpressure` and `drain_batch`
+    /// apply; `workers` and `cross_session_batch` are ignored.
     pub base: ServerConfig,
     /// I/O shard count; `0` (the default) sizes to available
     /// parallelism, clamped to `1..=4`. A shard is one thread and
@@ -157,8 +161,8 @@ struct ShardShared {
 }
 
 /// One backup copy held for a remote primary's session, keyed by the
-/// cluster-wide replica key. Server-wide (any shard's connection may
-/// replicate or promote it), mirroring the blocking server.
+/// cluster-wide replica key. Server-wide: any shard's connection may
+/// replicate or promote it.
 struct ReplicaEntry {
     generation: u64,
     spec: SessionSpec,
@@ -210,8 +214,8 @@ impl NetShared {
     }
 }
 
-/// A running readiness-based detection server. Dropping it (or
-/// calling [`NetServer::shutdown`]) wakes every shard and joins them.
+/// A running detection server. Dropping it (or calling
+/// [`NetServer::shutdown`]) wakes every shard and joins them.
 pub struct NetServer {
     local_addr: SocketAddr,
     backend: PollerBackend,
@@ -239,6 +243,7 @@ impl NetServer {
     /// Propagates socket bind/clone and poller construction failures.
     pub fn bind(addr: impl ToSocketAddrs, config: NetServerConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
+        crate::sys::listen_max_backlog(&listener)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
@@ -350,9 +355,8 @@ impl Drop for NetServer {
     }
 }
 
-/// One open session on a shard. Unlike the blocking server's
-/// registry entry there are no locks: the owning shard thread is the
-/// only toucher.
+/// One open session on a shard. No locks: the owning shard thread is
+/// the only toucher.
 struct NetSession {
     /// Token of the connection that opened it; any other connection's
     /// lookup answers `UnknownSession`, exactly as if absent.
@@ -681,9 +685,10 @@ impl Shard {
     }
 
     /// Encodes and queues a reply, counting `frames_out` before the
-    /// bytes can possibly hit the wire (same observer contract as the
-    /// blocking server). The request's correlation id is echoed;
-    /// legacy corr-less requests get legacy corr-less replies.
+    /// bytes can possibly hit the wire: a client that has read its
+    /// reply observes the counter already bumped. The request's
+    /// correlation id is echoed; legacy corr-less requests get legacy
+    /// corr-less replies.
     fn queue_reply(&mut self, slot: usize, reply: &Frame, corr: Option<u64>) {
         self.shard.stats.frames_out.fetch_add(1, Ordering::Relaxed);
         let conn = self.conns[slot].as_mut().expect("live conn");
@@ -718,9 +723,6 @@ impl Shard {
             let Some(conn) = self.conns[slot].as_ref() else {
                 continue;
             };
-            // A peer stalled mid-frame past the deadline is dropped —
-            // the readiness analogue of the blocking reader's armed
-            // timer.
             if matches!(conn.assembler.mid_frame_since(), Some(since) if since.elapsed() >= frame_deadline)
             {
                 self.close_conn(slot, !self.shared.shutdown.load(Ordering::SeqCst));
@@ -770,9 +772,7 @@ impl Shard {
         self.free_slots.push(slot);
     }
 
-    /// Serves one request frame. Mirrors the blocking server's
-    /// `handle_frame` case for case — same codes, same messages — so
-    /// clients cannot tell the servers apart.
+    /// Serves one request frame: the server's one frame dispatcher.
     fn serve_frame(&mut self, conn_token: u64, frame: Frame) -> Frame {
         match frame {
             Frame::Hello { client: _ } => Frame::HelloAck {
@@ -780,7 +780,8 @@ impl Shard {
             },
             Frame::OpenSession(spec) => self.open_session(conn_token, &spec, None),
             // A wire-level restore starts a fresh snapshot lineage
-            // (generation 0), same as the blocking server.
+            // (generation 0): the wire state image cannot carry the
+            // counter, and only cluster promotion needs it.
             Frame::RestoreSession { spec, state } => {
                 self.open_session(conn_token, &spec, Some((&state, 0)))
             }
@@ -806,18 +807,14 @@ impl Shard {
                 }
                 _ => error(ErrorCode::UnknownSession, format!("session {session}")),
             },
-            Frame::MetricsQuery => {
-                // The one cross-shard read: fold every shard's engine
-                // snapshot and sum the transport counters, then fill
-                // the append-only shard fields.
-                let mut wm = wire_metrics(
-                    &self.shared.merged_engine_metrics(),
-                    &self.shared.summed_transport(),
-                );
-                wm.shards = self.nshards as u64;
-                wm.partial_frame_resumes = self.shared.summed_resumes();
-                Frame::MetricsReply(wm)
-            }
+            // The one cross-shard read: every shard's engine snapshot
+            // folded, the transport counters summed.
+            Frame::MetricsQuery => Frame::MetricsReply(wire_metrics(
+                &self.shared.merged_engine_metrics(),
+                &self.shared.summed_transport(),
+                self.nshards as u64,
+                self.shared.summed_resumes(),
+            )),
             Frame::ReplicateSnapshot {
                 key,
                 generation,
@@ -841,8 +838,8 @@ impl Shard {
         }
     }
 
-    /// Accepts (or rejects as stale) one replicated snapshot — same
-    /// codes and messages as the blocking server.
+    /// Accepts (or rejects as stale) one replicated snapshot from a
+    /// remote primary.
     fn store_replica(
         &mut self,
         key: u64,
@@ -907,7 +904,9 @@ impl Shard {
         }
     }
 
-    /// Accepts a ring-membership update, ignoring stale epochs.
+    /// Accepts a ring-membership update, ignoring stale epochs. The
+    /// ack always carries the epoch now in force, so a sender with an
+    /// old view can tell it lost.
     fn ring_update(&mut self, epoch: u64, members: &[RingMember]) -> Frame {
         let current = self
             .shared
@@ -1029,11 +1028,10 @@ impl Shard {
         let snapshot = sess.handle.snapshot();
         let state = WireSessionState::from_snapshot(&snapshot);
         if let Some(sink) = &self.shared.config.base.replication {
-            // Replication egress, the same point as the blocking
-            // server's: the backup receives exactly the state this
-            // reply carries, and a never-ticked session (rebuilt from
-            // its spec) is not shipped. `Tick` and `Recalibrate`
-            // replicate nothing.
+            // Replication egress: the backup receives exactly the
+            // state this reply carries, and a never-ticked session
+            // (rebuilt from its spec) is not shipped. `Tick` and
+            // `Recalibrate` replicate nothing.
             if snapshot.next_seq > 0 {
                 let lag = sink.replicate(ReplicationUpdate {
                     session,
@@ -1047,10 +1045,11 @@ impl Shard {
         Frame::SessionSnapshot { session, state }
     }
 
-    /// Swaps the session's plant model in place — same codes and
-    /// messages as the blocking server's `recalibrate_session`, and
-    /// like it replicates nothing (the router's checkpoint after the
-    /// swap does).
+    /// Swaps the session's plant model in place (accepted model
+    /// drift), a clean cut between two ticks. Nothing is replicated
+    /// here: the cluster router checkpoints right after a swap, and
+    /// that `SnapshotSession` carries the recalibrated state to the
+    /// backup.
     fn recalibrate_session(
         &mut self,
         conn_token: u64,
@@ -1121,5 +1120,125 @@ fn error(code: ErrorCode, message: impl Into<String>) -> Frame {
     Frame::Error {
         code,
         message: message.into(),
+    }
+}
+
+/// Steps a validated `Tick` batch on the calling thread and builds its
+/// reply. A batch that comes back short (a panic inside the detector
+/// failed the session, which the engine contains) answers
+/// [`ErrorCode::Timeout`]; a closed session answers
+/// [`ErrorCode::UnknownSession`].
+fn tick_reply(session: u64, ticks: Vec<WireTick>, handle: &SessionHandle) -> Frame {
+    let n = ticks.len();
+    let ticks = ticks.into_iter().map(|tick| Tick {
+        estimate: Vector::from_vec(tick.estimate),
+        input: Vector::from_vec(tick.input),
+    });
+    match handle.step_batch(ticks) {
+        Ok(outcomes) if outcomes.len() == n => Frame::TickOutcomes {
+            session,
+            outcomes: outcomes.iter().map(WireOutcome::from_outcome).collect(),
+        },
+        Ok(outcomes) => error(
+            ErrorCode::Timeout,
+            format!("engine produced {}/{n} outcomes in time", outcomes.len()),
+        ),
+        Err(_) => error(ErrorCode::UnknownSession, "session closed under batch"),
+    }
+}
+
+/// Collapses one [`LatencyHistogram`] into its wire summary
+/// (count/mean/conservative quantile bounds/overflow); quantile bounds
+/// honor the histogram's overflow honesty (`None` when no finite bound
+/// holds).
+fn wire_latency(hist: &LatencyHistogram) -> WireLatency {
+    WireLatency {
+        count: hist.count,
+        mean_ns: hist.mean_ns(),
+        p50_bound_ns: hist.quantile_bound_ns(0.5),
+        p99_bound_ns: hist.quantile_bound_ns(0.99),
+        overflow: hist.overflow,
+    }
+}
+
+/// Folds a cross-shard engine snapshot, the summed transport counters,
+/// the shard count and the mid-frame resume total into the
+/// `MetricsReply` image.
+fn wire_metrics(
+    engine: &RuntimeMetrics,
+    transport: &TransportMetrics,
+    shards: u64,
+    partial_frame_resumes: u64,
+) -> WireMetrics {
+    WireMetrics {
+        sessions_active: engine.sessions_active,
+        ticks_submitted: engine.ticks_submitted,
+        ticks_processed: engine.ticks_processed,
+        alarms_raised: engine.alarms_raised,
+        degraded_ticks: engine.degraded_ticks,
+        queue_depth_high_water: engine.queue_depth_high_water,
+        log_latency: wire_latency(&engine.log_latency),
+        detect_latency: wire_latency(&engine.detect_latency),
+        frames_in: transport.frames_in,
+        frames_out: transport.frames_out,
+        decode_errors: transport.decode_errors,
+        connections_opened: transport.connections_opened,
+        connections_dropped: transport.connections_dropped,
+        alloc_free_ticks: engine.alloc_free_ticks,
+        batched_deadline_queries: engine.batched_deadline_queries,
+        sessions_evicted: transport.sessions_evicted,
+        shards,
+        partial_frame_resumes,
+        sessions_replicated: engine.sessions_replicated,
+        failovers: engine.failovers,
+        replication_lag_hwm: engine.replication_lag_hwm,
+        batch_ticks: engine.batch_ticks,
+        batch_sessions_hwm: engine.batch_sessions_hwm,
+        scalar_fallback_ticks: engine.scalar_fallback_ticks,
+        recalibrations: engine.recalibrations,
+        recalibrations_rejected: transport.recalibrations_rejected,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use awsad_runtime::EngineConfig;
+
+    #[test]
+    fn a_batch_that_comes_back_short_answers_timeout_at_once() {
+        // A panic inside the logger or detector fails the session
+        // mid-batch (the engine contains it), so the batch comes back
+        // short: the reply is the `Timeout` error, given at once, and
+        // the next request finds the session closed. The shard rejects
+        // wrong-dimension ticks before stepping, so only a direct call
+        // can reach the logger's dimension assert used here.
+        let spec = SessionSpec::model_defaults(2);
+        let (logger, detector, state_dim, input_dim) = session_parts_for_spec(&spec).unwrap();
+        let engine = DetectionEngine::without_pool(EngineConfig::default());
+        let (handle, _) = engine.add_session(logger, detector);
+        let good = WireTick {
+            estimate: vec![0.0; state_dim],
+            input: vec![0.0; input_dim],
+        };
+        let bad = WireTick {
+            estimate: vec![0.0; state_dim + 1],
+            input: vec![0.0; input_dim],
+        };
+        let batch = vec![good.clone(), good.clone(), bad, good.clone()];
+        assert_eq!(
+            tick_reply(7, batch, &handle),
+            Frame::Error {
+                code: ErrorCode::Timeout,
+                message: "engine produced 2/4 outcomes in time".into(),
+            }
+        );
+        assert_eq!(
+            tick_reply(7, vec![good], &handle),
+            Frame::Error {
+                code: ErrorCode::UnknownSession,
+                message: "session closed under batch".into(),
+            }
+        );
     }
 }

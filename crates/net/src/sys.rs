@@ -1,8 +1,8 @@
 //! Readiness primitives without a `libc` crate: raw `epoll(7)` on
 //! Linux and portable `poll(2)` everywhere else, both reached through
 //! thin `extern "C"` declarations. `std` already links the platform C
-//! library, so declaring the three epoll entry points (plus `poll`)
-//! ourselves adds **zero** dependencies — the symbols resolve against
+//! library, so declaring the three epoll entry points (plus `poll`,
+//! and `listen` for [`listen_max_backlog`]) ourselves adds **zero** dependencies — the symbols resolve against
 //! what is already in the address space.
 //!
 //! Everything unsafe in this crate lives in this module, behind the
@@ -212,6 +212,16 @@ mod pollsys {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+
+    pub fn relisten(fd: RawFd, backlog: i32) -> io::Result<()> {
+        // SAFETY: plain syscall on a descriptor the caller keeps open;
+        // no pointers.
+        if unsafe { listen(fd, backlog) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
@@ -227,6 +237,22 @@ mod pollsys {
         }
         Ok(n as usize)
     }
+}
+
+/// Linux's `SOMAXCONN` (4096 since kernel 5.4). The kernel caps a
+/// larger backlog at `net.core.somaxconn`.
+pub const SOMAXCONN: i32 = 4096;
+
+/// Calls `listen(2)` again on a listening socket with a [`SOMAXCONN`]
+/// backlog. `std` listens with a backlog of 128, so a burst of more
+/// connects than that overflows the accept queue, and the kernel drops
+/// each overflowing SYN: that client waits out a 1 s retransmit.
+///
+/// # Errors
+///
+/// The `listen(2)` failure, from `errno`.
+pub fn listen_max_backlog(listener: &std::net::TcpListener) -> io::Result<()> {
+    pollsys::relisten(std::os::fd::AsRawFd::as_raw_fd(listener), SOMAXCONN)
 }
 
 enum Backend {
@@ -488,6 +514,24 @@ mod tests {
             assert_eq!(events[0].token, 2, "token updated by reregister");
             assert!(events[0].writable, "empty send buffer is writable");
         }
+    }
+
+    #[test]
+    fn relisten_accepts_a_burst_past_std_backlog() {
+        // Nobody accepts, so every completed handshake stays in the
+        // accept queue. With std's backlog of 128 the kernel drops the
+        // SYNs past it and those connects wait out a 1 s retransmit;
+        // with the raised backlog all of them complete at once.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listen_max_backlog(&listener).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let burst: Vec<_> = (0..256)
+            .map(|i| {
+                std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} of the burst: {e}"))
+            })
+            .collect();
+        assert_eq!(burst.len(), 256);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use std::time::Duration;
 
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
-use awsad_serve::server::{Server, ServerConfig};
 use awsad_serve::wire::SessionSpec;
 
 #[test]
@@ -22,7 +22,7 @@ fn successful_call_resets_backoff_to_base_delay() {
         max_delay: Duration::from_millis(30),
         seed: 7,
     };
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let mut rc = ReconnectingClient::connect(addr, policy.clone()).unwrap();
@@ -49,7 +49,7 @@ fn successful_call_resets_backoff_to_base_delay() {
     // restores the session from its checkpoint, and succeeds — which
     // must snap the jitter state back to the base delay so a future
     // outage does not inherit this one's inflation.
-    let server = Server::bind(addr, ServerConfig::default()).unwrap();
+    let server = NetServer::bind(addr, NetServerConfig::default()).unwrap();
     rc.tick(session.id, &[0.0], &[0.0]).unwrap();
     assert!(rc.reconnects() >= 1);
     assert_eq!(rc.current_backoff_floor(), policy.base_delay);

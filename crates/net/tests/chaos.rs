@@ -1,46 +1,37 @@
 //! Chaos tests: deterministic transport-fault injection against the
-//! serving layer.
+//! server.
 //!
 //! The load-bearing guarantees proven here:
 //!
-//! * a detection session **survives a server kill-and-restart**: the
-//!   `ReconnectingClient` restores it from its checkpoint and the
-//!   resumed `AdaptiveStep` stream is byte-identical to an
-//!   uninterrupted direct-engine run of the same seeded bias attack;
-//! * truncated-mid-frame and dropped replies are likewise survived
-//!   byte-identically;
-//! * the timeout-desync bug is fixed: a reply arriving after the
-//!   client's reply timeout can no longer be misattributed to the
-//!   next call (the legacy call pattern demonstrably misattributed
-//!   it; the fixed client poisons itself instead);
+//! * truncated-mid-frame and dropped replies are survived: the
+//!   `ReconnectingClient` restores the session from its checkpoint and
+//!   the resumed `AdaptiveStep` stream is byte-identical to an
+//!   uninterrupted direct-engine run of the same bias attack;
+//! * a reply arriving after the client's reply timeout can never be
+//!   misattributed to the next call (the legacy call pattern
+//!   demonstrably misattributes it; the client poisons itself
+//!   instead);
 //! * a slow-loris peer ties up only its own connection and only until
 //!   the server's frame deadline — asserted on transport counters,
-//!   not wall-clock;
-//! * idle sessions are evicted after `session_ttl` and the eviction
-//!   is observable (counter + `UnknownSession` on next use).
+//!   not wall-clock.
 
 mod support;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use awsad_core::AdaptiveStep;
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::{Client, ClientError};
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
-use awsad_serve::server::{Server, ServerConfig};
-use awsad_serve::wire::{self, ErrorCode, Frame, SessionSpec, WireOutcome};
+use awsad_serve::wire::{self, Frame, SessionSpec, WireOutcome};
+use awsad_testkit::proxy::{FaultPlan, FaultProxy, ReplyFault};
 
-use support::{direct_engine_steps, pinned_trace, FaultPlan, FaultProxy, ReplyFault};
+use support::{direct_engine_steps, pinned_trace, wait_for};
 
-/// Polls until the predicate holds or the deadline passes — counter
-/// updates race the test thread, never the protocol itself.
-fn wait_for(mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !pred() {
-        assert!(Instant::now() < deadline, "condition not reached in time");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+fn bind() -> NetServer {
+    NetServer::bind("127.0.0.1:0", NetServerConfig::default()).unwrap()
 }
 
 /// A fast retry policy for tests: deterministic seed, short delays.
@@ -71,40 +62,8 @@ fn assert_stream_matches(outcomes: &[WireOutcome], trace_len: usize, direct: &[A
 }
 
 #[test]
-fn session_survives_server_kill_and_restart_byte_identically() {
-    let config = ServerConfig::default();
-    let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
-    let addr = server.local_addr();
-
-    let mut rc = ReconnectingClient::connect(addr, test_policy()).unwrap();
-    let session = rc.open_session(&SessionSpec::model_defaults(2)).unwrap();
-
-    let trace = pinned_trace(120);
-    let mut outcomes = Vec::new();
-    let mut server = Some(server);
-    for (i, chunk) in trace.chunks(10).enumerate() {
-        if i == 6 {
-            // Kill the server mid-stream — sessions and all — and
-            // bring a fresh one up on the same address.
-            let old = server.take().unwrap();
-            old.shutdown();
-            drop(old);
-            server = Some(Server::bind(addr, config.clone()).unwrap());
-        }
-        outcomes.extend(rc.tick_batch(session.id, chunk).unwrap());
-    }
-
-    assert!(
-        rc.reconnects() >= 1,
-        "the kill must have forced at least one reconnect"
-    );
-    assert_stream_matches(&outcomes, trace.len(), &direct_engine_steps(&trace));
-    server.unwrap().shutdown();
-}
-
-#[test]
 fn truncated_and_dropped_replies_are_survived_byte_identically() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = bind();
     // Connection 1: hello, open, batch 1, checkpoint 1 forwarded, then
     // batch 2's reply is cut mid-frame (6 bytes = prefix + 2 bytes of
     // body). Connection 2: hello, restore, batch-2 replay, checkpoint
@@ -135,7 +94,7 @@ fn truncated_and_dropped_replies_are_survived_byte_identically() {
 
 #[test]
 fn late_reply_after_timeout_poisons_instead_of_misattributing() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = bind();
     let trace = pinned_trace(4);
 
     // Part 1 — the regression, demonstrated with the legacy call
@@ -229,12 +188,9 @@ fn late_reply_after_timeout_poisons_instead_of_misattributing() {
 
 #[test]
 fn slow_loris_ties_up_only_its_own_connection_for_a_bounded_time() {
-    let config = ServerConfig {
-        read_timeout: Duration::from_millis(20),
-        frame_deadline: Duration::from_millis(200),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let mut config = NetServerConfig::default();
+    config.base.frame_deadline = Duration::from_millis(200);
+    let server = NetServer::bind("127.0.0.1:0", config).unwrap();
 
     // The attacker: sends two bytes of a length prefix, then stalls.
     let mut loris = TcpStream::connect(server.local_addr()).unwrap();
@@ -264,67 +220,5 @@ fn slow_loris_ties_up_only_its_own_connection_for_a_bounded_time() {
     // The healthy connection is still live after the teardown.
     let outcome = client.tick(session.id, &[0.0], &[0.0]).unwrap();
     assert_eq!(outcome.seq, 10);
-    server.shutdown();
-}
-
-#[test]
-fn idle_sessions_are_evicted_after_ttl() {
-    let config = ServerConfig {
-        session_ttl: Some(Duration::from_millis(150)),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let session = client
-        .open_session(&SessionSpec::model_defaults(2))
-        .unwrap();
-    client.tick(session.id, &[0.0], &[0.0]).unwrap();
-
-    // Stop using the session; the accept-thread sweep evicts it.
-    wait_for(|| server.transport_metrics().sessions_evicted == 1);
-    wait_for(|| server.engine_metrics().sessions_active == 0);
-
-    // The eviction is indistinguishable from a close: next use gets
-    // UnknownSession, the connection itself is untouched.
-    match client.tick(session.id, &[0.0], &[0.0]) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
-        other => panic!("expected UnknownSession after eviction, got {other:?}"),
-    }
-    let replacement = client
-        .open_session(&SessionSpec::model_defaults(2))
-        .unwrap();
-    client.tick(replacement.id, &[0.0], &[0.0]).unwrap();
-    server.shutdown();
-}
-
-#[test]
-fn snapshot_restore_over_the_wire_continues_seq_and_stream() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let spec = SessionSpec::model_defaults(2);
-    let session = client.open_session(&spec).unwrap();
-
-    let trace = pinned_trace(60);
-    let mut outcomes = client.tick_batch(session.id, &trace[..30]).unwrap();
-    let state = client.snapshot_session(session.id).unwrap();
-    client.close_session(session.id).unwrap();
-
-    // Restore on the same connection under a fresh id; the stream
-    // picks up exactly where the snapshot left off.
-    let restored = client.restore_session(&spec, &state).unwrap();
-    assert_ne!(restored.id, session.id);
-    outcomes.extend(client.tick_batch(restored.id, &trace[30..]).unwrap());
-
-    assert_stream_matches(&outcomes, trace.len(), &direct_engine_steps(&trace));
-
-    // A corrupt snapshot is rejected with the typed error, not a
-    // hung or poisoned connection.
-    let mut bad = state.clone();
-    bad.reestimation_period = 0;
-    match client.restore_session(&spec, &bad) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadSnapshot),
-        other => panic!("expected BadSnapshot, got {other:?}"),
-    }
-    assert!(!client.is_poisoned());
     server.shutdown();
 }

@@ -1,4 +1,4 @@
-//! End-to-end loopback tests for the readiness-based server.
+//! End-to-end loopback tests for the server.
 //!
 //! The load-bearing guarantees proven here:
 //!
@@ -6,78 +6,35 @@
 //!   is **byte-identical** to stepping a local `DetectionEngine` on
 //!   the same pinned scenario — on both poller backends;
 //! * unmodified `awsad_serve` clients (blocking and reconnecting)
-//!   drive the new server, including snapshot/restore across a
+//!   drive the server, including snapshot/restore across a
 //!   kill-and-restart;
 //! * frames torn across arbitrarily many wakeups decode to the same
 //!   replies as whole frames, and the resumes are counted;
 //! * pipelined requests answer strictly in order with correlation
 //!   ids echoed;
-//! * protocol errors, session quotas, TTL eviction, and connection
-//!   isolation behave exactly like the blocking server.
+//! * a malformed or oversized frame increments the decode-error
+//!   counter and kills **only** the offending connection;
+//! * protocol errors, session quotas, TTL eviction, and shutdown
+//!   behave as specified.
+
+mod support;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use awsad_core::{AdaptiveDetector, AdaptiveStep, DetectorConfig};
+use awsad_core::AdaptiveStep;
 use awsad_models::Simulator;
 use awsad_net::{NetServer, NetServerConfig};
-use awsad_runtime::{BackpressurePolicy, DetectionEngine, EngineConfig, Tick, TickOutcome};
+use awsad_runtime::{BackpressurePolicy, EngineConfig};
 use awsad_serve::client::{Client, ClientError};
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
 use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{
-    read_envelope, write_frame_corr, ErrorCode, Frame, SessionSpec, WireTick, DEFAULT_MAX_FRAME_LEN,
+    read_envelope, write_frame_corr, ErrorCode, Frame, SessionSpec, DEFAULT_MAX_FRAME_LEN,
 };
 
-/// The pinned scenario: vehicle turning (Table 1 row 2) under a
-/// deterministic trace that regulates for a while, then takes a bias
-/// jump which must trip alarms. Pure arithmetic — no RNG.
-fn pinned_trace(len: usize) -> Vec<WireTick> {
-    let model = Simulator::VehicleTurning.build();
-    (0..len)
-        .map(|t| {
-            let mut estimate = model.x0.clone().into_vec();
-            estimate[0] += 0.01 * ((t % 4) as f64);
-            if t >= len / 2 {
-                estimate[0] += 0.9;
-            }
-            WireTick {
-                estimate,
-                input: vec![0.0; model.system.input_dim()],
-            }
-        })
-        .collect()
-}
-
-/// The same scenario stepped through a local engine (the PR 1 path).
-fn direct_engine_steps(trace: &[WireTick]) -> Vec<AdaptiveStep> {
-    let model = Simulator::VehicleTurning.build();
-    let w_m = model.default_max_window;
-    let det_cfg = DetectorConfig::new(model.threshold.clone(), w_m).unwrap();
-    let detector = AdaptiveDetector::new(det_cfg, model.deadline_estimator(w_m).unwrap()).unwrap();
-    let logger = model.data_logger(w_m);
-    let engine = DetectionEngine::new(EngineConfig::default());
-    let (session, outcomes) = engine.add_session(logger, detector);
-    for tick in trace {
-        session
-            .submit(Tick {
-                estimate: awsad_linalg::Vector::from_slice(&tick.estimate),
-                input: awsad_linalg::Vector::from_slice(&tick.input),
-            })
-            .unwrap();
-    }
-    engine.drain();
-    outcomes.try_iter().map(|o: TickOutcome| o.step).collect()
-}
-
-fn wait_for(mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !pred() {
-        assert!(Instant::now() < deadline, "condition not reached in time");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
+use support::{direct_engine_steps, pinned_trace, wait_for};
 
 fn two_shard_config() -> NetServerConfig {
     NetServerConfig {
@@ -246,6 +203,36 @@ fn malformed_frame_kills_only_its_connection() {
 }
 
 #[test]
+fn oversized_frame_is_rejected_before_allocation_and_drops_connection() {
+    let mut config = two_shard_config();
+    config.base.max_frame_len = 4096;
+    let server = NetServer::bind("127.0.0.1:0", config).unwrap();
+
+    // Declare a ~4 GiB payload; the guard must fire on the prefix
+    // alone (sending the bytes would take forever — none follow).
+    let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+    hostile.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    hostile.flush().unwrap();
+
+    wait_for(|| {
+        let t = server.transport_metrics();
+        t.decode_errors == 1 && t.connections_dropped == 1
+    });
+    // The connection gets the typed error, then EOF.
+    let env = read_envelope(&mut hostile, DEFAULT_MAX_FRAME_LEN).unwrap();
+    let Frame::Error { code, message } = env.frame else {
+        panic!("expected Error, got {:?}", env.frame);
+    };
+    assert_eq!(code, ErrorCode::Internal);
+    assert!(message.contains("exceeds"), "{message}");
+
+    // A healthy client still gets served afterwards.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.metrics().unwrap().decode_errors, 1);
+    server.shutdown();
+}
+
+#[test]
 fn protocol_misuse_yields_typed_errors_without_killing_the_connection() {
     let server = NetServer::bind("127.0.0.1:0", two_shard_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -253,6 +240,12 @@ fn protocol_misuse_yields_typed_errors_without_killing_the_connection() {
     match client.open_session(&SessionSpec::model_defaults(9)) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadModel),
         other => panic!("expected BadModel, got {other:?}"),
+    }
+    let mut spec = SessionSpec::model_defaults(1);
+    spec.threshold = vec![0.1];
+    match client.open_session(&spec) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::DimensionMismatch),
+        other => panic!("expected DimensionMismatch, got {other:?}"),
     }
     match client.tick(123_456, &[0.0], &[0.0]) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
@@ -277,6 +270,8 @@ fn protocol_misuse_yields_typed_errors_without_killing_the_connection() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
         other => panic!("expected UnknownSession, got {other:?}"),
     }
+    // Misuse is not malformed framing.
+    assert_eq!(client.metrics().unwrap().decode_errors, 0);
     server.shutdown();
 }
 
@@ -309,10 +304,19 @@ fn idle_sessions_are_evicted_by_ttl() {
         .open_session(&SessionSpec::model_defaults(2))
         .unwrap();
     wait_for(|| server.transport_metrics().sessions_evicted == 1);
+    assert_eq!(server.engine_metrics().sessions_active, 0);
+    // The eviction is indistinguishable from a close: next use gets
+    // UnknownSession, the connection itself is untouched.
     match client.tick(session.id, &pinned_trace(1)[0].estimate, &[0.0]) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
         other => panic!("expected UnknownSession after eviction, got {other:?}"),
     }
+    let replacement = client
+        .open_session(&SessionSpec::model_defaults(2))
+        .unwrap();
+    client
+        .tick(replacement.id, &pinned_trace(1)[0].estimate, &[0.0])
+        .unwrap();
     server.shutdown();
 }
 
@@ -349,6 +353,16 @@ fn snapshot_restore_resumes_byte_identically() {
     }
     let steps: Vec<AdaptiveStep> = outcomes.iter().map(|o| o.to_step()).collect();
     assert_eq!(steps, direct_engine_steps(&trace));
+
+    // A corrupt snapshot is rejected with the typed error, not a hung
+    // or poisoned connection.
+    let mut bad = state.clone();
+    bad.reestimation_period = 0;
+    match client.restore_session(&spec, &bad) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadSnapshot),
+        other => panic!("expected BadSnapshot, got {other:?}"),
+    }
+    assert!(!client.is_poisoned());
     server.shutdown();
 }
 
@@ -412,6 +426,9 @@ fn metrics_merge_aggregates_sessions_across_connections() {
     assert_eq!(wm.sessions_active, 3);
     assert_eq!(wm.ticks_submitted, total_ticks);
     assert_eq!(wm.ticks_processed, total_ticks);
+    assert_eq!(wm.log_latency.count, total_ticks);
+    assert_eq!(wm.detect_latency.count, total_ticks);
+    assert!(wm.detect_latency.mean_ns > 0.0);
     assert_eq!(server.engine_metrics().ticks_processed, total_ticks);
     // frames: per client: 1 hello + 1 open + ticks + 1 metrics query.
     let t = server.transport_metrics();
@@ -442,10 +459,10 @@ fn empty_tick_batch_answers_immediately() {
 
 #[test]
 fn degrade_policy_reaches_the_wire() {
-    // The blocking server's rule, on a shard: a request is stepped
-    // where it was read, the batch stands in for the session queue,
-    // and of one 64-tick request exactly the ticks past the two-tick
-    // capacity come back degraded, in seq order.
+    // A request is stepped where it was read, the batch stands in for
+    // the session queue, and of one 64-tick request exactly the ticks
+    // past the two-tick capacity come back degraded, in seq order —
+    // and the flag is visible to the remote client.
     let config = NetServerConfig {
         base: ServerConfig {
             engine: EngineConfig {
@@ -479,6 +496,10 @@ fn degrade_policy_reaches_the_wire() {
 #[test]
 fn clean_close_is_not_a_drop_and_shutdown_is_idempotent() {
     let server = NetServer::bind("127.0.0.1:0", two_shard_config()).unwrap();
+    let mut survivor = Client::connect(server.local_addr()).unwrap();
+    let kept = survivor
+        .open_session(&SessionSpec::model_defaults(2))
+        .unwrap();
     {
         let mut client = Client::connect(server.local_addr()).unwrap();
         let session = client
@@ -486,13 +507,17 @@ fn clean_close_is_not_a_drop_and_shutdown_is_idempotent() {
             .unwrap();
         client.close_session(session.id).unwrap();
     } // drops the client: clean EOF at a frame boundary
-    wait_for(|| server.transport_metrics().connections_opened == 1);
+    wait_for(|| server.transport_metrics().connections_opened == 2);
     // Give the shard a beat to observe the close, then check it was
     // not misclassified as a drop.
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(server.transport_metrics().connections_dropped, 0);
     server.shutdown();
     server.shutdown(); // idempotent
+                       // A connection still open at shutdown is gone: its next call
+                       // fails rather than hangs.
+    let res = survivor.tick(kept.id, &pinned_trace(1)[0].estimate, &[0.0]);
+    assert!(res.is_err(), "call after shutdown must fail, got {res:?}");
     assert!(
         TcpStream::connect(server.local_addr()).is_err()
             || TcpStream::connect(server.local_addr()).is_err(),

@@ -1,22 +1,19 @@
-//! Shared chaos-test support: the frame-aware fault-injection TCP
-//! proxy (now hosted by `awsad-testkit`, re-exported here so the
-//! chaos suite keeps its imports) plus the pinned attack scenario and
-//! its direct-engine reference.
+//! Shared support for the server test suites: the pinned attack
+//! scenario, its direct-engine reference, and a counter poll.
 
 #![allow(dead_code)]
 
-pub use awsad_testkit::proxy::{FaultPlan, FaultProxy, ReplyFault};
+use std::time::{Duration, Instant};
 
 use awsad_core::{AdaptiveDetector, AdaptiveStep, DetectorConfig};
 use awsad_models::Simulator;
 use awsad_runtime::{DetectionEngine, EngineConfig, Tick, TickOutcome};
 use awsad_serve::wire::WireTick;
 
-/// The pinned scenario used across the serve test suites: vehicle
-/// turning (Table 1 row 2) under a deterministic trace that regulates
-/// for a while, then takes a bias jump which must trip alarms. Pure
-/// arithmetic — no RNG — so every run and every transport sees the
-/// exact same floats.
+/// The pinned scenario: vehicle turning (Table 1 row 2) under a
+/// deterministic trace that regulates for a while, then takes a bias
+/// jump which must trip alarms. Pure arithmetic — no RNG — so every
+/// run and every transport sees the exact same floats.
 pub fn pinned_trace(len: usize) -> Vec<WireTick> {
     let model = Simulator::VehicleTurning.build();
     (0..len)
@@ -55,4 +52,14 @@ pub fn direct_engine_steps(trace: &[WireTick]) -> Vec<AdaptiveStep> {
     }
     engine.drain();
     outcomes.try_iter().map(|o: TickOutcome| o.step).collect()
+}
+
+/// Polls until the predicate holds or the deadline passes — counter
+/// updates race the test thread, never the protocol itself.
+pub fn wait_for(mut pred: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !pred() {
+        assert!(Instant::now() < deadline, "condition not reached in time");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

@@ -661,7 +661,8 @@ impl SessionHandle {
     /// Steps a batch of this session's ticks on the calling thread and
     /// returns their outcomes in order — the run-to-completion entry
     /// point for hosts that answer each request in the turn that read
-    /// it (both servers). No queue, channel or worker is involved.
+    /// it (the `awsad-net` server). No queue, channel or worker is
+    /// involved.
     ///
     /// The ticks take the pool drain's own scalar path: in chunks of
     /// [`EngineConfig::drain_batch`] (each chunk prewarms the deadline

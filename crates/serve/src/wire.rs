@@ -560,14 +560,13 @@ pub struct WireMetrics {
     /// counter (after the two above), zeroed when absent.
     pub sessions_evicted: u64,
     /// Number of I/O shards whose engines were merged into this reply.
-    /// `0` means the reply came from an unsharded (blocking) server.
+    /// `0` means the field was absent (a server that predates it).
     /// Fourth appended counter; always written together with
     /// [`WireMetrics::partial_frame_resumes`], zeroed when absent.
     pub shards: u64,
     /// Frames whose bytes arrived torn across more than one readiness
     /// wakeup and were completed by the incremental decoder resuming
-    /// mid-frame. Always `0` on the blocking server (its reads park
-    /// until the frame completes, so nothing "resumes"). Fifth
+    /// mid-frame. Fifth
     /// appended counter, written together with [`WireMetrics::shards`],
     /// zeroed when absent.
     pub partial_frame_resumes: u64,

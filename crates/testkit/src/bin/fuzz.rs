@@ -12,19 +12,19 @@
 //! master seed:
 //!
 //! * **scenario oracles** — generate a scenario, run the differential
-//!   oracles (all six paths for registry scenarios — including the
-//!   readiness `awsad-net` server — local paths for random-LTI ones,
-//!   and the recalibration path for drift scenarios) plus the
-//!   estimator self-checks;
+//!   oracles (all five paths for registry scenarios, local paths for
+//!   random-LTI ones, and the recalibration path for drift scenarios)
+//!   plus the estimator self-checks;
 //! * **wire fuzz** — batches of structure-aware frame mutations plus
 //!   the allocation-guard checks;
 //! * **poisoning probes** — periodically prove hostile bytes on one
-//!   connection cannot perturb another connection's stream, on both
-//!   server implementations;
+//!   connection cannot perturb another connection's stream;
 //! * **torn-frame probes** — requests split into 1–7 byte chunks and
 //!   interleaved across connections sharing one event-loop shard,
 //!   proving the incremental decoder never leaks partial-frame state
 //!   between connections.
+//!
+//! Every live check runs against one single-shard `awsad-net` server.
 //!
 //! On a scenario failure the shrinker minimizes the trace length via
 //! the seed string's `len=` field (re-verifying each candidate) and
@@ -36,10 +36,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use awsad_net::{NetServer, NetServerConfig};
-use awsad_serve::server::{Server, ServerConfig};
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use awsad_testkit::wirefuzz;
-use awsad_testkit::{check_estimator, check_local_paths, check_recalibrate_path, check_six_paths};
+use awsad_testkit::{check_estimator, check_five_paths, check_local_paths, check_recalibrate_path};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
@@ -51,13 +50,18 @@ struct Args {
     torn: Option<u64>,
 }
 
-/// One event-loop shard, so torn-frame interleaving is guaranteed to
-/// land every fuzzed connection on the same incremental decoder.
-fn one_shard() -> NetServerConfig {
-    NetServerConfig {
-        shards: 1,
-        ..NetServerConfig::default()
-    }
+/// Binds the fuzz server: one event-loop shard, so torn-frame
+/// interleaving is guaranteed to land every fuzzed connection on the
+/// same incremental decoder.
+fn bind_server() -> NetServer {
+    NetServer::bind(
+        "127.0.0.1:0",
+        NetServerConfig {
+            shards: 1,
+            ..NetServerConfig::default()
+        },
+    )
+    .expect("bind fuzz server")
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -111,20 +115,16 @@ fn parse_args() -> Result<Args, String> {
 
 /// Runs every oracle that applies to the scenario; returns the first
 /// failure rendered as a string.
-fn check_scenario(
-    seed: &SeedSpec,
-    serve_addr: SocketAddr,
-    net_addr: SocketAddr,
-) -> Result<(), String> {
+fn check_scenario(seed: &SeedSpec, addr: SocketAddr) -> Result<(), String> {
     let scenario = Scenario::from_seed(seed);
     check_estimator(&scenario).map_err(|e| e.to_string())?;
     if scenario.spec.is_some() {
-        check_six_paths(&scenario, serve_addr, net_addr).map_err(|e| e.to_string())?;
+        check_five_paths(&scenario, addr).map_err(|e| e.to_string())?;
     } else {
         check_local_paths(&scenario).map_err(|e| e.to_string())?;
     }
     if scenario.recalibration.is_some() {
-        check_recalibrate_path(&scenario, serve_addr, net_addr).map_err(|e| e.to_string())?;
+        check_recalibrate_path(&scenario, addr).map_err(|e| e.to_string())?;
     }
     Ok(())
 }
@@ -169,11 +169,9 @@ fn report_scenario_failure(
 }
 
 fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind fuzz server");
+    let server = bind_server();
     let addr = server.local_addr();
-    let net_server = NetServer::bind("127.0.0.1:0", one_shard()).expect("bind fuzz net server");
-    let net_addr = net_server.local_addr();
-    let check = |seed: &SeedSpec| check_scenario(seed, addr, net_addr);
+    let check = |seed: &SeedSpec| check_scenario(seed, addr);
 
     let deadline = Instant::now() + Duration::from_secs(seconds);
     let mut rng = StdRng::seed_from_u64(master_seed);
@@ -227,21 +225,16 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
         scenarios += 1;
 
         // Poisoning probe every 8th lap: hostile bytes from the frame
-        // mutator against a live connection pair, on both servers.
+        // mutator against a live connection pair.
         if scenarios.is_multiple_of(8) {
             let probe_seed = SeedSpec::registry(rng.random_range(0..=u64::MAX)).with_len(24);
             let scenario = Scenario::from_seed(&probe_seed);
             let mut garbage = wirefuzz::arbitrary_frame(&mut rng).encode();
             wirefuzz::mutate(&mut rng, &mut garbage);
-            for (which, target) in [("serve", addr), ("net", net_addr)] {
-                if let Err(v) =
-                    wirefuzz::check_no_cross_connection_poisoning(&scenario, target, &garbage)
-                {
-                    eprintln!("FAIL poisoning probe ({which}) on {probe_seed}: {v}");
-                    failed = true;
-                }
-            }
-            if failed {
+            if let Err(v) = wirefuzz::check_no_cross_connection_poisoning(&scenario, addr, &garbage)
+            {
+                eprintln!("FAIL poisoning probe on {probe_seed}: {v}");
+                failed = true;
                 break;
             }
             probes += 1;
@@ -249,10 +242,10 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
 
         // Torn-frame probe every 8th lap (offset from the poisoning
         // probes): interleaved 1–7 byte chunks across connections on
-        // the net server's single shard.
+        // the server's single shard.
         if scenarios % 8 == 4 {
             let torn_seed = rng.random_range(0..=u64::MAX);
-            if let Err(v) = run_torn_probe(torn_seed, net_addr) {
+            if let Err(v) = run_torn_probe(torn_seed, addr) {
                 eprintln!("FAIL torn-frame probe {torn_seed}: {v}");
                 eprintln!("cargo run --release -p awsad-testkit --bin fuzz -- --torn {torn_seed}");
                 failed = true;
@@ -262,7 +255,6 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
         }
     }
 
-    net_server.shutdown();
     server.shutdown();
     println!(
         "fuzz smoke: {scenarios} scenarios, {wire_iters} wire iterations, {probes} poisoning probes, {torn_probes} torn-frame probes ({})",
@@ -277,11 +269,11 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
 
 /// One torn-frame probe, fully determined by its seed: the scenario,
 /// the chunk sizes, and the garbage bytes all derive from it.
-fn run_torn_probe(torn_seed: u64, net_addr: SocketAddr) -> Result<(), String> {
+fn run_torn_probe(torn_seed: u64, addr: SocketAddr) -> Result<(), String> {
     let mut torn_rng = StdRng::seed_from_u64(torn_seed);
     let probe_seed = SeedSpec::registry(torn_rng.random_range(0..=u64::MAX)).with_len(48);
     let scenario = Scenario::from_seed(&probe_seed);
-    wirefuzz::check_torn_frame_interleaving(&scenario, net_addr, &mut torn_rng)
+    wirefuzz::check_torn_frame_interleaving(&scenario, addr, &mut torn_rng)
         .map_err(|v| format!("{probe_seed}: {v}"))
 }
 
@@ -293,14 +285,10 @@ fn repro(seed_string: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind fuzz server");
-    let addr = server.local_addr();
-    let net_server = NetServer::bind("127.0.0.1:0", one_shard()).expect("bind fuzz net server");
-    let net_addr = net_server.local_addr();
+    let server = bind_server();
     let scenario = Scenario::from_seed(&seed);
     println!("replaying {seed}: {}", scenario.label);
-    let result = check_scenario(&seed, addr, net_addr);
-    net_server.shutdown();
+    let result = check_scenario(&seed, server.local_addr());
     server.shutdown();
     match result {
         Ok(()) => {
@@ -329,9 +317,9 @@ fn wire_repro(wire_seed: u64) -> ExitCode {
 }
 
 fn torn_repro(torn_seed: u64) -> ExitCode {
-    let net_server = NetServer::bind("127.0.0.1:0", one_shard()).expect("bind fuzz net server");
-    let result = run_torn_probe(torn_seed, net_server.local_addr());
-    net_server.shutdown();
+    let server = bind_server();
+    let result = run_torn_probe(torn_seed, server.local_addr());
+    server.shutdown();
     match result {
         Ok(()) => {
             println!("torn-frame probe {torn_seed} passes");

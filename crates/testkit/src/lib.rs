@@ -1,13 +1,14 @@
 //! Machine-generated adversarial coverage for the AWSAD stack.
 //!
-//! The stack has grown six independent ways to compute the same
+//! The stack has many independent ways to compute the same
 //! [`awsad_core::AdaptiveStep`] stream — direct
 //! [`awsad_core::AdaptiveDetector`] stepping, the runtime engine, the
-//! serve wire path, [`awsad_serve::ReconnectingClient`] resume,
-//! snapshot/restore, and the readiness-based `awsad-net` event-loop
-//! server — each pinned until now only by hand-picked models and
-//! traces. This crate replaces curated examples with a generator +
-//! oracle harness:
+//! wire path through the `awsad-net` event-loop server,
+//! [`awsad_serve::ReconnectingClient`] resume, snapshot/restore, the
+//! cluster router across a shard kill, cross-session batch stepping
+//! and mid-stream recalibration. This crate pins them to each other
+//! with a generator + oracle harness instead of hand-picked models and
+//! traces:
 //!
 //! * [`scenario`] — seeded scenario generators: random stable and
 //!   marginal LTI plants with controlled spectral radius, random PID
@@ -25,7 +26,7 @@
 //!   live-server probes for cross-connection poisoning and torn
 //!   frames interleaved across a shard's connections.
 //! * [`proxy`] — the frame-aware fault-injection TCP proxy shared by
-//!   the serve chaos tests and the fuzzer's resume path.
+//!   the server chaos tests and the fuzzer's resume path.
 //!
 //! The `fuzz` binary drives all of the above in a time-boxed smoke
 //! mode and carries a shrinker that minimizes any failing scenario to
@@ -43,7 +44,7 @@ pub mod wirefuzz;
 
 pub use oracle::{
     check_estimator, check_five_paths, check_local_paths, check_recalibrate_path,
-    check_seven_paths, check_six_paths, OracleError,
+    check_seven_paths, OracleError,
 };
 pub use proxy::{FaultPlan, FaultProxy, ReplyFault};
 pub use scenario::{Family, Scenario, SeedSpec};

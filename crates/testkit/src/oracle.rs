@@ -1,27 +1,25 @@
 //! Differential oracles: every detection path must produce the same
 //! bits.
 //!
-//! The stack grew nine independent ways to compute one
-//! [`AdaptiveStep`] stream — direct [`AdaptiveDetector`] stepping, the
-//! runtime engine, the serve wire path, [`ReconnectingClient`] resume
-//! through transport failure, snapshot/restore into a fresh engine,
-//! the readiness-based `awsad-net` server with its sharded
-//! engines and incremental decoder, the `awsad-cluster` router
-//! streaming across a 3-shard consistent-hash ring with its primary
-//! killed mid-stream, the cross-session SoA batch path that
-//! gathers co-pending ticks from *many* sessions and steps them as
-//! vectorized lane groups, and the **recalibration** path
-//! ([`check_recalibrate_path`]) that swaps a drift scenario's plant
-//! model mid-stream — in place, over the wire, across
+//! The stack computes one [`AdaptiveStep`] stream many independent
+//! ways: direct [`AdaptiveDetector`] stepping, the runtime engine,
+//! the wire path through the `awsad-net` server (its shard engines and
+//! incremental decoder), [`ReconnectingClient`] resume through
+//! transport failure, snapshot/restore into a fresh engine, the
+//! `awsad-cluster` router streaming across a 3-shard consistent-hash
+//! ring with its primary killed mid-stream, the cross-session SoA
+//! batch path that gathers co-pending ticks from *many* sessions and
+//! steps them as vectorized lane groups, and the **recalibration**
+//! path ([`check_recalibrate_path`]) that swaps a drift scenario's
+//! plant model mid-stream — in place, over the wire, across
 //! snapshot/restore, and through cluster failover — and demands the
-//! post-swap stream stay bit-identical. Floats travel the wire as their
-//! IEEE-754 bit patterns and every state copy is bit-exact, so the
-//! streams must be **equal**, not approximately equal. The oracles
-//! here run one generated [`Scenario`] through each path and diff the
-//! streams; any mismatch is reported with the scenario's seed string
-//! so the exact episode replays from one line. The six-path check
-//! additionally re-encodes both servers' outcome streams and demands
-//! the wire images themselves be bit-identical.
+//! post-swap stream stay bit-identical. Paths keep the numbers they
+//! were added under, so there is no sixth. Floats travel the wire as
+//! their IEEE-754 bit patterns and every state copy is bit-exact, so the streams must be
+//! **equal**, not approximately equal. The oracles here run one
+//! generated [`Scenario`] through each path and diff the streams; any
+//! mismatch is reported with the scenario's seed string so the exact
+//! episode replays from one line.
 //!
 //! Alongside the stream oracles sit the estimator self-checks: the
 //! precomputed-box deadline walk against the seed-formula
@@ -42,7 +40,7 @@ use awsad_runtime::{DetectionEngine, EngineConfig, RuntimeMetrics, Tick, TickOut
 use awsad_serve::client::Client;
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
 use awsad_serve::server::ServerConfig;
-use awsad_serve::wire::{Frame, RingMember, WireOutcome, WireTick};
+use awsad_serve::wire::{RingMember, WireOutcome, WireTick};
 use awsad_serve::{ReplicationSink, ReplicationUpdate};
 
 use crate::proxy::{FaultPlan, FaultProxy, ReplyFault};
@@ -266,20 +264,17 @@ fn wire_steps(
     Ok(steps)
 }
 
-/// Streams the scenario through a live server with the stock blocking
-/// [`Client`] and returns the raw wire outcomes. The transport cannot
-/// tell which server implementation answers, which is the point: this
-/// is the shared body of the serve (path 3) and net (path 6) oracles.
-fn remote_outcomes(
-    scenario: &Scenario,
-    addr: SocketAddr,
-    path: &'static str,
-) -> Result<Vec<WireOutcome>, OracleError> {
+/// Path 3 — the wire path: open a session on a running
+/// `awsad_net::NetServer` at `addr` with the stock blocking
+/// [`Client`], stream the trace in batches, close. The stream crosses
+/// the event loop's incremental decoder and a shard-owned engine; the
+/// bits must not care.
+pub fn net_steps(scenario: &Scenario, addr: SocketAddr) -> Result<Vec<AdaptiveStep>, OracleError> {
     let spec = scenario
         .spec
         .as_ref()
         .expect("remote paths need a registry scenario");
-    let fail = |detail: String| OracleError::new(scenario, path, detail);
+    let fail = |detail: String| OracleError::new(scenario, "net", detail);
     let mut client = Client::connect(addr).map_err(|e| fail(format!("connect: {e}")))?;
     let session = client
         .open_session(spec)
@@ -295,27 +290,6 @@ fn remote_outcomes(
     client
         .close_session(session.id)
         .map_err(|e| fail(format!("close: {e}")))?;
-    Ok(outcomes)
-}
-
-/// Path 3 — the serve wire path: open a session on a live server,
-/// stream the trace in batches, close. `addr` is a running
-/// [`awsad_serve::server::Server`]'s address.
-pub fn serve_steps(
-    scenario: &Scenario,
-    addr: SocketAddr,
-) -> Result<Vec<AdaptiveStep>, OracleError> {
-    let outcomes = remote_outcomes(scenario, addr, "serve")?;
-    wire_steps(scenario, "serve", &outcomes)
-}
-
-/// Path 6 — the readiness server: the identical client code against a
-/// running `awsad_net::NetServer`'s address. The stream crosses the
-/// event loop's incremental decoder and a shard-owned engine instead
-/// of a connection thread and the shared engine; the bits must not
-/// care.
-pub fn net_steps(scenario: &Scenario, addr: SocketAddr) -> Result<Vec<AdaptiveStep>, OracleError> {
-    let outcomes = remote_outcomes(scenario, addr, "net")?;
     wire_steps(scenario, "net", &outcomes)
 }
 
@@ -428,83 +402,18 @@ pub fn check_local_paths(scenario: &Scenario) -> Result<(), OracleError> {
 
 /// Runs **all five** paths against one registry scenario and asserts
 /// every stream bit-identical to direct stepping. `addr` is a running
-/// server (shared across scenarios — each check opens and closes its
-/// own sessions).
+/// `awsad_net::NetServer` (shared across scenarios — each check opens
+/// and closes its own sessions).
 pub fn check_five_paths(scenario: &Scenario, addr: SocketAddr) -> Result<(), OracleError> {
     check_local_paths(scenario)?;
     let reference = direct_steps(scenario);
-    diff_streams(scenario, "serve", &serve_steps(scenario, addr)?, &reference)?;
+    diff_streams(scenario, "net", &net_steps(scenario, addr)?, &reference)?;
     diff_streams(
         scenario,
         "resume",
         &resume_steps(scenario, addr)?,
         &reference,
     )?;
-    Ok(())
-}
-
-/// Runs **all six** paths: the five of [`check_five_paths`] against
-/// `serve_addr` (a blocking server), plus the readiness server at
-/// `net_addr`. Beyond stream equality, the serve and net outcome
-/// streams are re-encoded as `TickOutcomes` wire frames which must be
-/// **bit-identical** — the two servers may not differ even in float
-/// bit patterns or field ordering on the wire.
-pub fn check_six_paths(
-    scenario: &Scenario,
-    serve_addr: SocketAddr,
-    net_addr: SocketAddr,
-) -> Result<(), OracleError> {
-    check_local_paths(scenario)?;
-    let reference = direct_steps(scenario);
-    let serve_outcomes = remote_outcomes(scenario, serve_addr, "serve")?;
-    diff_streams(
-        scenario,
-        "serve",
-        &wire_steps(scenario, "serve", &serve_outcomes)?,
-        &reference,
-    )?;
-    diff_streams(
-        scenario,
-        "resume",
-        &resume_steps(scenario, serve_addr)?,
-        &reference,
-    )?;
-    let net_outcomes = remote_outcomes(scenario, net_addr, "net")?;
-    diff_streams(
-        scenario,
-        "net",
-        &wire_steps(scenario, "net", &net_outcomes)?,
-        &reference,
-    )?;
-    // Wire-image bit-exactness: session ids differ between servers
-    // (shard-striped vs engine-assigned), so compare the re-encoded
-    // outcome payloads under a fixed session id.
-    let serve_image = Frame::TickOutcomes {
-        session: 0,
-        outcomes: serve_outcomes,
-    }
-    .encode();
-    let net_image = Frame::TickOutcomes {
-        session: 0,
-        outcomes: net_outcomes,
-    }
-    .encode();
-    if serve_image != net_image {
-        let at = serve_image
-            .iter()
-            .zip(&net_image)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| serve_image.len().min(net_image.len()));
-        return Err(OracleError::new(
-            scenario,
-            "net",
-            format!(
-                "re-encoded wire images differ between servers: {} vs {} bytes, first divergence at byte {at}",
-                serve_image.len(),
-                net_image.len()
-            ),
-        ));
-    }
     Ok(())
 }
 
@@ -618,16 +527,12 @@ pub fn cluster_steps(scenario: &Scenario) -> Result<ClusterRun, OracleError> {
     })
 }
 
-/// Runs **all seven** paths: the six of [`check_six_paths`], plus the
-/// cluster router with a mid-stream shard kill. The cluster launches
-/// its own 3-shard ring per scenario — the kill is destructive, so
-/// the servers cannot be shared the way `serve_addr`/`net_addr` are.
-pub fn check_seven_paths(
-    scenario: &Scenario,
-    serve_addr: SocketAddr,
-    net_addr: SocketAddr,
-) -> Result<(), OracleError> {
-    check_six_paths(scenario, serve_addr, net_addr)?;
+/// Runs the five paths of [`check_five_paths`] against `addr`, plus
+/// the cluster router with a mid-stream shard kill. The cluster
+/// launches its own 3-shard ring per scenario — the kill is
+/// destructive, so its servers cannot be shared the way `addr` is.
+pub fn check_seven_paths(scenario: &Scenario, addr: SocketAddr) -> Result<(), OracleError> {
+    check_five_paths(scenario, addr)?;
     diff_streams(
         scenario,
         "cluster",
@@ -900,14 +805,14 @@ pub fn recal_snapshot_steps(
 }
 
 /// Path 9, wire leg — the recalibration travels as a `Recalibrate`
-/// frame between two tick waves on a live server (blocking or
-/// readiness; the client cannot tell). The ack's recalibration count
-/// must be exactly 1 — the session was fresh.
+/// frame between two tick waves on a running `awsad_net::NetServer`.
+/// The ack's recalibration count must be exactly 1 — the session was
+/// fresh.
 pub fn recal_remote_steps(
     scenario: &Scenario,
     addr: SocketAddr,
-    path: &'static str,
 ) -> Result<Vec<AdaptiveStep>, OracleError> {
+    let path = "recal-net";
     let recal = scenario.recalibration.as_ref().expect("drift scenario");
     let at = recal_boundary(scenario);
     let spec = scenario
@@ -1035,13 +940,12 @@ pub fn recal_cluster_steps(scenario: &Scenario) -> Result<ClusterRun, OracleErro
 /// Runs the **ninth** differential-oracle path over one drift
 /// scenario: direct in-place recalibration is the reference, and the
 /// batch engine, snapshot/restore across the recalibration, the wire
-/// op against both server implementations, and cluster failover after
-/// the swap must all reproduce it bit for bit. Returns how the cluster
+/// op against the server at `addr`, and cluster failover after the
+/// swap must all reproduce it bit for bit. Returns how the cluster
 /// leg's failover recovered (nothing when the swap ends the trace).
 pub fn check_recalibrate_path(
     scenario: &Scenario,
-    serve_addr: SocketAddr,
-    net_addr: SocketAddr,
+    addr: SocketAddr,
 ) -> Result<Recoveries, OracleError> {
     let reference = direct_recalibrated_steps(scenario);
     diff_streams(
@@ -1061,14 +965,8 @@ pub fn check_recalibrate_path(
     )?;
     diff_streams(
         scenario,
-        "recal-serve",
-        &recal_remote_steps(scenario, serve_addr, "recal-serve")?,
-        &reference,
-    )?;
-    diff_streams(
-        scenario,
         "recal-net",
-        &recal_remote_steps(scenario, net_addr, "recal-net")?,
+        &recal_remote_steps(scenario, addr)?,
         &reference,
     )?;
     let cluster = recal_cluster_steps(scenario)?;

@@ -23,8 +23,8 @@
 //!
 //! Cross-connection poisoning (a malformed frame on one connection
 //! harming another) is checked separately against a live server —
-//! see [`check_no_cross_connection_poisoning`]. For the readiness
-//! server's incremental decoder there is a sharper variant,
+//! see [`check_no_cross_connection_poisoning`]. For the server's
+//! incremental decoder there is a sharper variant,
 //! [`check_torn_frame_interleaving`]: every request torn into 1–7
 //! byte chunks and round-robin interleaved across connections on the
 //! same shard, so the decoder is forced to park and resume partial
@@ -652,8 +652,7 @@ fn drain_torn(
 /// both honest streams must equal the direct reference bit-for-bit,
 /// and only the garbage connection may die.
 ///
-/// `addr` may point at either server implementation; the readiness
-/// server is the interesting target since one thread decodes all
+/// Point `addr` at a one-shard server, so one thread decodes all
 /// three connections.
 pub fn check_torn_frame_interleaving(
     scenario: &Scenario,

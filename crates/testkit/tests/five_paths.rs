@@ -1,15 +1,15 @@
 //! The headline differential oracle, run at volume: ≥200 seeded
 //! registry scenarios, each pushed through all five detection paths
 //! (direct detector, engine with cache, engine with the cache
-//! stripped, snapshot/restore, serve wire path, fault-injected
-//! resume) against one shared server, asserting the `AdaptiveStep`
-//! streams are bit-identical.
+//! stripped, snapshot/restore, the wire path, fault-injected resume)
+//! against one shared two-shard `awsad-net` server, asserting the
+//! `AdaptiveStep` streams are bit-identical.
 //!
 //! Every scenario that fails prints its seed string, so the repro is
 //! always `cargo run --release -p awsad-testkit --bin fuzz -- --repro
 //! <seed>`.
 
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_testkit::scenario::Scenario;
 use awsad_testkit::scenario::SeedSpec;
 use awsad_testkit::{check_estimator, check_five_paths, check_local_paths};
@@ -20,7 +20,15 @@ const SCENARIOS: u64 = 200;
 
 #[test]
 fn two_hundred_registry_scenarios_agree_across_all_five_paths() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    // Two shards so scenarios land on both engines over the run.
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        NetServerConfig {
+            shards: 2,
+            ..NetServerConfig::default()
+        },
+    )
+    .expect("bind server");
     let addr = server.local_addr();
     let mut rng = StdRng::seed_from_u64(0x5F1E_5EED);
     let mut failures = Vec::new();
@@ -43,7 +51,7 @@ fn two_hundred_registry_scenarios_agree_across_all_five_paths() {
     );
 }
 
-/// Random-LTI scenarios cannot open serve sessions (the wire protocol
+/// Random-LTI scenarios cannot open wire sessions (the wire protocol
 /// speaks registry models only) but must still agree across every
 /// local path, and their synthesized plants exercise the estimator
 /// oracles on matrices the registry never produces.

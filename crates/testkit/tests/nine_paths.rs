@@ -5,8 +5,8 @@
 //! [`awsad_core::AdaptiveDetector::recalibrate`] as the reference,
 //! the cross-session batch engine, snapshot/restore across the
 //! recalibration (the snapshot must carry the trailing recalibration
-//! block), the `Recalibrate` wire op against **both** server
-//! implementations, and the cluster router with its primary killed
+//! block), the `Recalibrate` wire op against an `awsad-net` server,
+//! and the cluster router with its primary killed
 //! right after the swap. Every post-recalibration stream must be
 //! bit-identical to the reference. A seed-derived coin decides
 //! whether the cluster leg's replicas reach the backup, and the test
@@ -26,7 +26,6 @@ use awsad_cluster::Recoveries;
 use awsad_core::{DriftConfig, DriftVerdict, IdentError, ModelIdentifier};
 use awsad_linalg::Vector;
 use awsad_net::{NetServer, NetServerConfig};
-use awsad_serve::server::{Server, ServerConfig};
 use awsad_testkit::oracle::check_recalibrate_path;
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use rand::rngs::StdRng;
@@ -36,16 +35,14 @@ const SCENARIOS: u64 = 100;
 
 #[test]
 fn one_hundred_drift_scenarios_recalibrate_bit_identically_on_every_path() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind serve server");
-    let net_server =
-        NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind net server");
+    let server = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind server");
     let mut rng = StdRng::seed_from_u64(0x9_5EED);
     let mut failures = Vec::new();
     let mut branches = Recoveries::default();
     for _ in 0..SCENARIOS {
         let seed = SeedSpec::drift(rng.random_range(0..=u64::MAX));
         let scenario = Scenario::from_seed(&seed);
-        match check_recalibrate_path(&scenario, server.local_addr(), net_server.local_addr()) {
+        match check_recalibrate_path(&scenario, server.local_addr()) {
             Ok(run) => {
                 branches += run;
             }
@@ -55,7 +52,6 @@ fn one_hundred_drift_scenarios_recalibrate_bit_identically_on_every_path() {
             break; // enough evidence; don't grind through the rest
         }
     }
-    net_server.shutdown();
     server.shutdown();
     assert!(
         failures.is_empty(),

@@ -2,7 +2,7 @@
 //! path: `sensor` (a minority of output channels falsified behind a
 //! randomized `C ≠ I` output map) and `severe` (fewer than half the
 //! sensors trustworthy). Both families carry their output map in the
-//! wire spec, so the serve path exercises the spec-extension encoding
+//! wire spec, so the wire path exercises the spec-extension encoding
 //! end to end, and every path must stay bit-identical to direct
 //! stepping — the map is scenario metadata and may not perturb a
 //! single detector output bit.
@@ -11,7 +11,7 @@
 //! always `cargo run --release -p awsad-testkit --bin fuzz -- --repro
 //! <seed>`.
 
-use awsad_serve::server::{Server, ServerConfig};
+use awsad_net::{NetServer, NetServerConfig};
 use awsad_testkit::check_five_paths;
 use awsad_testkit::oracle::check_batch_path;
 use awsad_testkit::scenario::{Scenario, SeedSpec};
@@ -22,7 +22,7 @@ const SCENARIOS: u64 = 96;
 
 #[test]
 fn sensor_and_severe_scenarios_agree_across_all_five_paths() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    let server = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind server");
     let addr = server.local_addr();
     let mut rng = StdRng::seed_from_u64(0x5E_A502);
     let mut failures = Vec::new();

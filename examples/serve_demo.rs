@@ -1,6 +1,6 @@
 //! Detection-as-a-service over loopback TCP.
 //!
-//! Starts an `awsad-serve` server in-process, connects the blocking
+//! Starts an `awsad-net` server in-process, connects the blocking
 //! client, opens one remote session per plant family, and streams
 //! each session a seeded attack episode in batches. Everything the
 //! client sees — alarms, windows, deadlines — travelled through the
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 const BATCH: usize = 64;
 
 fn main() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
+    let server = NetServer::bind("127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
     println!("detection server listening on {}\n", server.local_addr());
     let mut client = Client::connect(server.local_addr()).expect("connect");
 

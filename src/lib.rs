@@ -40,8 +40,8 @@
 //! | [`models`] | `awsad-models` | the five Table 1 simulators + RC-car testbed |
 //! | [`sim`] | `awsad-sim` | closed-loop episodes, Monte-Carlo cells, sweeps, metrics |
 //! | [`runtime`] | `awsad-runtime` | multi-session streaming engine: worker pool, bounded queues, deadline cache wiring, metrics |
-//! | [`serve`] | `awsad-serve` | detection-as-a-service: binary wire protocol, TCP server, blocking + reconnecting clients, session snapshot/resume |
-//! | [`net`] | `awsad-net` | readiness-based (epoll) event-loop server: I/O shards with per-shard engines, incremental frame decode, vectored writes |
+//! | [`serve`] | `awsad-serve` | detection-as-a-service: binary wire protocol, server configuration, blocking + reconnecting clients, session snapshot/resume |
+//! | [`net`] | `awsad-net` | the detection server: epoll event loop over I/O shards with per-shard engines, incremental frame decode, vectored writes |
 //! | [`cluster`] | `awsad-cluster` | consistent-hash session sharding: snapshot replication to ring successors, backup promotion on shard failure, live drain migration |
 //!
 //! ## Quickstart
@@ -109,8 +109,7 @@ pub mod prelude {
         SessionId, SessionSnapshot, Tick, TickOutcome, WorkerPool,
     };
     pub use awsad_serve::{
-        Client, ReconnectingClient, RetryPolicy, Server, ServerConfig, SessionSpec, WireOutcome,
-        WireTick,
+        Client, ReconnectingClient, RetryPolicy, ServerConfig, SessionSpec, WireOutcome, WireTick,
     };
     pub use awsad_sets::{Ball, BoxSet, Halfspace, Interval, Polytope, Support};
     pub use awsad_sim::{
