@@ -244,10 +244,6 @@ fn main() {
             "batch_sessions_hwm".into(),
             Json::Int(batched.metrics.batch_sessions_hwm),
         ),
-        (
-            "scalar_fallback_ticks".into(),
-            Json::Int(batched.metrics.scalar_fallback_ticks),
-        ),
     ]);
     let path = write_json("BENCH_batch.json", &report);
     println!("wrote {}", path.display());

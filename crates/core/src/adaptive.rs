@@ -31,18 +31,15 @@ impl AdaptiveStep {
     }
 }
 
-/// How a lane's deadline resolves in phase A of a batched step (see
-/// the batch-stepping hooks on [`AdaptiveDetector`]).
+/// How a step's deadline resolves before any reachability walk (see
+/// [`AdaptiveDetector::deadline_phase`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchDeadlinePhase {
+pub(crate) enum DeadlinePhase {
     /// The deadline is already committed (aged estimate or cache hit).
-    Ready {
-        /// The committed deadline.
-        deadline: Deadline,
-    },
-    /// A reachability walk from the lane's trusted estimate is needed;
+    Ready(Deadline),
+    /// A reachability walk from the trusted estimate is needed;
     /// `cache_miss` records whether an installed cache counted a miss
-    /// (the walked answer must then be inserted at commit).
+    /// (the walked answer is then inserted at commit).
     Walk {
         /// Whether an installed deadline cache counted a miss.
         cache_miss: bool,
@@ -216,13 +213,8 @@ impl AdaptiveDetector {
     }
 
     /// Installs a memoizing [`DeadlineCache`] in front of the
-    /// estimator's deadline search.
-    ///
-    /// With the default exact (quantum 0) configuration, cached
-    /// answers are bit-identical to uncached queries and detection
-    /// decisions are unchanged; a positive quantum trades bounded
-    /// extra conservatism for a higher hit rate (see
-    /// [`awsad_reach::CacheConfig::quantum`]).
+    /// estimator's deadline search. Cached answers are bit-identical
+    /// to uncached queries, so detection decisions are unchanged.
     pub fn set_deadline_cache(&mut self, cache: DeadlineCache) {
         self.deadline_cache = Some(cache);
     }
@@ -240,6 +232,11 @@ impl AdaptiveDetector {
 
     /// Runs one detection step against the logger's newest entry.
     ///
+    /// This is the one-lane case of [`crate::BatchPlan::step_group`]:
+    /// both run the same phases and differ only in two kernels, the
+    /// reachability walk and the current-window mean, which run scalar
+    /// here and batched across lanes there.
+    ///
     /// # Panics
     ///
     /// Panics when the logger is empty (record the current step
@@ -248,94 +245,25 @@ impl AdaptiveDetector {
         let current = logger
             .current_step()
             .expect("record the current step before detection");
-
-        // 1-2. Deadline from the newest trusted estimate; re-queried
-        // every `reestimation_period` steps and conservatively aged in
-        // between. The query runs through the caller-held scratch
-        // buffers, so steady state only a cache *insert* (a fresh
-        // memoized answer) allocates.
-        let mut alloc_free = true;
-        let deadline = match self.cached_deadline {
-            Some(cached) if self.steps_since_estimate < self.reestimation_period => {
-                self.steps_since_estimate += 1;
-                match cached {
-                    Deadline::Within(t_d) => Deadline::Within(t_d.saturating_sub(1)),
-                    Deadline::Beyond => Deadline::Beyond,
-                }
-            }
-            _ => {
-                let trusted = logger
-                    .trusted_entry(self.prev_window)
-                    .expect("logger has at least one entry");
-                let fresh = match self.deadline_cache.as_mut() {
-                    Some(cache) => {
-                        let misses_before = cache.stats().misses;
-                        let d = cache
-                            .deadline_with(
-                                &self.estimator,
-                                &trusted.estimate,
-                                self.initial_radius,
-                                &mut self.scratch,
-                            )
-                            .expect("logger state dimension matches estimator");
-                        if cache.stats().misses != misses_before {
-                            alloc_free = false;
-                        }
-                        d
-                    }
-                    None => self
-                        .estimator
-                        .checked_deadline_with(
-                            &trusted.estimate,
-                            self.initial_radius,
-                            &mut self.scratch,
-                        )
-                        .expect("logger state dimension matches estimator"),
-                };
-                self.steps_since_estimate = 1;
-                fresh
+        let (deadline, alloc_free) = match self.deadline_phase(logger) {
+            DeadlinePhase::Ready(deadline) => (deadline, true),
+            DeadlinePhase::Walk { cache_miss } => {
+                let deadline = self
+                    .estimator
+                    .checked_deadline_with(
+                        self.trusted_estimate(logger),
+                        self.initial_radius,
+                        &mut self.scratch,
+                    )
+                    .expect("logger state dimension matches estimator");
+                self.commit_walked_deadline(logger, deadline, cache_miss);
+                (deadline, !cache_miss)
             }
         };
-        self.cached_deadline = Some(deadline);
-
-        // 3. Window adjustment (§4.2): w_c = t_d clamped to [min, w_m].
-        let w_p = self.prev_window;
-        let w_c = deadline.window_size(self.config.min_window(), self.config.max_window());
-
-        // 4. Complementary detection on shrink (Fig. 3).
-        let mut complementary_alarms = Vec::new();
-        if self.complementary_enabled && w_c < w_p && current > 0 {
-            let first_end = current.saturating_sub(w_p + 1).saturating_add(w_c);
-            for end in first_end..current {
-                if self
-                    .checker
-                    .check_with(logger, end, w_c, &mut self.mean_scratch)
-                    == Some(true)
-                {
-                    complementary_alarms.push(end);
-                }
-            }
-        }
-        if !complementary_alarms.is_empty() {
-            alloc_free = false;
-        }
-
-        // 5. Detection for the current step.
-        let current_alarm = self
-            .checker
-            .check_with(logger, current, w_c, &mut self.mean_scratch)
-            .unwrap_or(false);
-
-        self.prev_window = w_c;
-        self.last_step_alloc_free = alloc_free;
-        AdaptiveStep {
-            step: current,
-            deadline,
-            window: w_c,
-            previous_window: w_p,
-            current_alarm,
-            complementary_alarms,
-        }
+        let mut step = self.open_step(logger, current, deadline);
+        let current_alarm = self.check_current(logger, current, step.window);
+        self.close_step(&mut step, current_alarm, alloc_free);
+        step
     }
 
     /// Runs one *degraded* detection step: no reachability query, the
@@ -358,126 +286,101 @@ impl AdaptiveDetector {
         let current = logger
             .current_step()
             .expect("record the current step before detection");
-        let w_p = self.prev_window;
-        let w_c = self.config.max_window();
-        let current_alarm = self
-            .checker
-            .check_with(logger, current, w_c, &mut self.mean_scratch)
-            .unwrap_or(false);
-        self.prev_window = w_c;
         // The aged in-detector deadline is no longer aligned with the
         // trusted state after a skipped query; force a refresh.
         self.steps_since_estimate = 0;
         self.cached_deadline = None;
-        self.last_step_alloc_free = true;
-        AdaptiveStep {
-            step: current,
-            deadline: Deadline::Beyond,
-            window: w_c,
-            previous_window: w_p,
-            current_alarm,
-            complementary_alarms: Vec::new(),
-        }
+        // `Beyond` sets w_c = w_m ≥ w_p, so no complementary window runs.
+        let mut step = self.open_step(logger, current, Deadline::Beyond);
+        let current_alarm = self.check_current(logger, current, step.window);
+        self.close_step(&mut step, current_alarm, true);
+        step
     }
 
-    // --- Batch-stepping hooks -------------------------------------
+    // --- Step phases ----------------------------------------------
     //
-    // The cross-session batch planner (`crate::batch::BatchPlan`)
-    // decomposes `step` into phases so the expensive pieces — the
-    // reachability walk and the window mean — can run once over a
-    // whole group of sessions. Each hook mirrors a contiguous piece of
-    // `step` *exactly* (same branches, same f64 operations in the same
-    // order, same cache statistics), which is what makes the batched
-    // outcome stream bit-identical to per-session stepping. Any edit
-    // to `step` must be reflected here.
+    // `step`, `step_degraded` and `crate::batch::BatchPlan::step_group`
+    // are built from these phases. Between the phases sit the only two
+    // kernels that differ by path: the reachability walk (scalar
+    // `checked_deadline_with`, or one batched walk for a group) and the
+    // current-window mean (`check_current`, or one SoA kernel call
+    // judged by `exceeds_mean`). Both kernel pairs compute the same
+    // f64 operations in the same order, so every path yields the same
+    // bits and the same cache statistics.
 
-    /// Whether this detector can take the batched stepping path
-    /// ([`crate::BatchPlan`]). A *quantized* deadline cache cannot:
-    /// its miss path re-evaluates at a snapped representative with an
-    /// inflated radius, which the shared batched walk does not
-    /// reproduce, so such lanes fall back to the scalar
-    /// [`AdaptiveDetector::step`].
-    pub fn batch_supported(&self) -> bool {
-        !self
-            .deadline_cache
-            .as_ref()
-            .is_some_and(|c| c.config().quantum > 0.0)
+    /// The trusted state estimate the deadline is walked from: the
+    /// entry just outside the previous window (§3.3.1).
+    pub(crate) fn trusted_estimate<'l>(&self, logger: &'l DataLogger) -> &'l Vector {
+        &logger
+            .trusted_entry(self.prev_window)
+            .expect("logger has at least one entry")
+            .estimate
     }
 
-    /// Phase A of a batched step: resolve the deadline *source* for
-    /// this lane, mirroring the deadline match in
-    /// [`AdaptiveDetector::step`]. Aged estimates and cache hits are
-    /// committed immediately (state and statistics identical to the
-    /// scalar path); a miss or an uncached lane reports
-    /// [`BatchDeadlinePhase::Walk`] and the caller resolves it through
-    /// one batched reachability walk followed by
-    /// [`AdaptiveDetector::batch_commit_walked_deadline`].
-    pub(crate) fn batch_deadline_phase(&mut self, logger: &DataLogger) -> BatchDeadlinePhase {
-        match self.cached_deadline {
-            Some(cached) if self.steps_since_estimate < self.reestimation_period => {
+    /// Resolves the deadline source, re-queried every
+    /// `reestimation_period` steps and conservatively aged in between.
+    /// Aged estimates and cache hits are committed here; otherwise the
+    /// caller walks from [`AdaptiveDetector::trusted_estimate`] and
+    /// hands the answer to [`AdaptiveDetector::commit_walked_deadline`].
+    pub(crate) fn deadline_phase(&mut self, logger: &DataLogger) -> DeadlinePhase {
+        if let Some(cached) = self.cached_deadline {
+            if self.steps_since_estimate < self.reestimation_period {
                 self.steps_since_estimate += 1;
                 let aged = match cached {
                     Deadline::Within(t_d) => Deadline::Within(t_d.saturating_sub(1)),
                     Deadline::Beyond => Deadline::Beyond,
                 };
                 self.cached_deadline = Some(aged);
-                BatchDeadlinePhase::Ready { deadline: aged }
+                return DeadlinePhase::Ready(aged);
             }
-            _ => {
-                let trusted = logger
-                    .trusted_entry(self.prev_window)
-                    .expect("logger has at least one entry");
-                match self.deadline_cache.as_mut() {
-                    Some(cache) => match cache.lookup(&trusted.estimate, self.initial_radius) {
-                        Some(hit) => {
-                            self.steps_since_estimate = 1;
-                            self.cached_deadline = Some(hit);
-                            BatchDeadlinePhase::Ready { deadline: hit }
-                        }
-                        // The miss is already counted; the walked
-                        // answer must come back via
-                        // `batch_commit_walked_deadline`.
-                        None => BatchDeadlinePhase::Walk { cache_miss: true },
-                    },
-                    None => BatchDeadlinePhase::Walk { cache_miss: false },
-                }
+        }
+        let trusted = self.trusted_estimate(logger);
+        let Some(cache) = self.deadline_cache.as_mut() else {
+            return DeadlinePhase::Walk { cache_miss: false };
+        };
+        match cache.lookup(trusted, self.initial_radius) {
+            Some(hit) => {
+                self.steps_since_estimate = 1;
+                self.cached_deadline = Some(hit);
+                DeadlinePhase::Ready(hit)
             }
+            None => DeadlinePhase::Walk { cache_miss: true },
         }
     }
 
-    /// Commits a deadline the caller walked for this lane's
-    /// [`BatchDeadlinePhase::Walk`]: stores the miss in the cache
-    /// (bit-identical to the scalar miss path's insert) and resets the
-    /// aging counter exactly as [`AdaptiveDetector::step`] does after
-    /// a fresh query.
-    pub(crate) fn batch_commit_walked_deadline(
+    /// Commits a walked deadline: stores a cache miss's answer (a
+    /// fresh memoized entry, the only allocation on a warm detect
+    /// path) and restarts the aging count.
+    pub(crate) fn commit_walked_deadline(
         &mut self,
         logger: &DataLogger,
         deadline: Deadline,
         cache_miss: bool,
     ) {
         if cache_miss {
-            let trusted = logger
-                .trusted_entry(self.prev_window)
-                .expect("logger has at least one entry");
+            let trusted = self.trusted_estimate(logger);
             if let Some(cache) = self.deadline_cache.as_mut() {
-                cache.insert_computed(&trusted.estimate, self.initial_radius, deadline);
+                cache.insert_computed(trusted, self.initial_radius, deadline);
             }
         }
         self.steps_since_estimate = 1;
         self.cached_deadline = Some(deadline);
     }
 
-    /// Phase C of a batched step: complementary detection on window
-    /// shrink, verbatim from [`AdaptiveDetector::step`] (same guard,
-    /// same window ends, same scratch-buffer checks).
-    pub(crate) fn batch_complementary(
+    /// Opens the step at `current`: sets `w_c = t_d` clamped to
+    /// `[min_window, w_m]` (§4.2) and, if the window shrinks, runs
+    /// complementary detection over the windows of size `w_c` ending
+    /// at `t−w_p−1+w_c, …, t−1` (Fig. 3); growing needs no extra work
+    /// (Fig. 4). The returned step's `current_alarm` is set by
+    /// [`AdaptiveDetector::close_step`].
+    pub(crate) fn open_step(
         &mut self,
         logger: &DataLogger,
         current: usize,
-        w_p: usize,
-        w_c: usize,
-    ) -> Vec<usize> {
+        deadline: Deadline,
+    ) -> AdaptiveStep {
+        let w_p = self.prev_window;
+        let w_c = deadline.window_size(self.config.min_window(), self.config.max_window());
         let mut complementary_alarms = Vec::new();
         if self.complementary_enabled && w_c < w_p && current > 0 {
             let first_end = current.saturating_sub(w_p + 1).saturating_add(w_c);
@@ -491,13 +394,20 @@ impl AdaptiveDetector {
                 }
             }
         }
-        complementary_alarms
+        AdaptiveStep {
+            step: current,
+            deadline,
+            window: w_c,
+            previous_window: w_p,
+            current_alarm: false,
+            complementary_alarms,
+        }
     }
 
-    /// Scalar fallback for the current-window check of a batched step
-    /// (used when a lane's window is not fully retained): the exact
-    /// phase-5 expression of [`AdaptiveDetector::step`].
-    pub(crate) fn batch_check_current(
+    /// The scalar current-window check: the window `[t−w_c, t]`
+    /// against `τ`; a window that is not fully retained does not
+    /// alarm.
+    pub(crate) fn check_current(
         &mut self,
         logger: &DataLogger,
         current: usize,
@@ -508,23 +418,33 @@ impl AdaptiveDetector {
             .unwrap_or(false)
     }
 
-    /// Threshold decision on a batched window mean held as a slice —
-    /// the same check [`AdaptiveDetector::step`] applies to its
-    /// scratch vector.
-    pub(crate) fn batch_exceeds_mean(&self, mean: &[f64]) -> bool {
+    /// The threshold decision on a current-window mean the batched
+    /// kernel computed — the rule [`AdaptiveDetector::check_current`]
+    /// applies to its scratch vector.
+    pub(crate) fn exceeds_mean(&self, mean: &[f64]) -> bool {
         self.checker.exceeds_slice(mean)
     }
 
-    /// Final phase of a batched step: publish the window and the
-    /// alloc-free flag, exactly as the tail of
-    /// [`AdaptiveDetector::step`].
-    pub(crate) fn batch_finalize(&mut self, w_c: usize, alloc_free: bool) {
-        self.prev_window = w_c;
-        self.last_step_alloc_free = alloc_free;
+    /// Closes the step: records the current-window decision and
+    /// publishes `w_c` as the next step's `w_p`. The step was
+    /// allocation-free when its deadline was (no cache insert) and no
+    /// complementary alarm was collected.
+    pub(crate) fn close_step(
+        &mut self,
+        step: &mut AdaptiveStep,
+        current_alarm: bool,
+        deadline_alloc_free: bool,
+    ) {
+        step.current_alarm = current_alarm;
+        self.prev_window = step.window;
+        self.last_step_alloc_free = deadline_alloc_free && step.complementary_alarms.is_empty();
     }
 
-    /// Resets the adaptation state (the previous window returns to
-    /// `w_m`, the deadline cache clears) for a fresh episode.
+    /// Resets the adaptation state for a fresh episode: the previous
+    /// window returns to `w_m` and the aged deadline is dropped, so the
+    /// next step re-queries. An installed [`DeadlineCache`] is kept
+    /// with its entries and counters (its answers depend only on the
+    /// trusted state, never on the episode).
     pub fn reset(&mut self) {
         self.prev_window = self.config.max_window();
         self.steps_since_estimate = 0;

@@ -1,17 +1,20 @@
 //! Cross-session batched stepping.
 //!
 //! [`BatchPlan`] steps a *group* of detection sessions one tick at a
-//! time through shared kernels: every lane that needs a fresh deadline
-//! is answered by **one** batched reachability walk
+//! time. It runs the same per-lane phases as
+//! [`AdaptiveDetector::step`] (the deadline source, the commit of a
+//! walked deadline, window adjustment with complementary detection,
+//! the threshold decision), so `step` is the one-lane case of a group.
+//! Only two kernels differ, and each runs once for the whole group:
+//! every lane that needs a fresh deadline is answered by **one**
+//! batched reachability walk
 //! ([`awsad_reach::DeadlineEstimator::deadline_batch_refs_with`]), and
-//! every lane's current-window mean is evaluated by **one**
-//! structure-of-arrays kernel call
-//! ([`awsad_linalg::kernels::soa::window_mean_lanes`]). Per lane, each
-//! phase reproduces the corresponding piece of
-//! [`AdaptiveDetector::step`] with the exact same branches and f64
-//! operation order (see the batch-stepping hooks in `adaptive.rs`),
-//! so the produced [`AdaptiveStep`] stream — and the deadline-cache
-//! statistics — are bit-identical to stepping each session alone.
+//! every lane's current-window mean by **one** structure-of-arrays
+//! kernel call ([`awsad_linalg::kernels::soa::window_mean_lanes`]).
+//! Per lane, each kernel performs the scalar kernel's f64 operations in
+//! the same order, so the produced [`AdaptiveStep`] stream — and the
+//! deadline-cache statistics — are bit-identical to stepping each
+//! session alone.
 //!
 //! # Grouping contract
 //!
@@ -19,19 +22,17 @@
 //! every lane has the same state dimension, the same initial radius,
 //! and estimators running bit-identical walks (equal
 //! [`awsad_reach::DeadlineEstimator::fingerprint`]s — in practice,
-//! sessions of the same plant model and reach configuration). Lanes
-//! whose detector reports [`AdaptiveDetector::batch_supported`] `==
-//! false` (quantized deadline caches) and lanes taking a *degraded*
-//! step must be stepped scalar instead; the runtime's engine routes
-//! them to the scalar path and counts them as fallbacks. Thresholds,
-//! window bounds, re-estimation periods and cache capacities may all
-//! differ per lane — those phases stay per-lane.
+//! sessions of the same plant model and reach configuration). A lane
+//! taking a *degraded* step is stepped by
+//! [`AdaptiveDetector::step_degraded`] beside the group instead.
+//! Thresholds, window bounds, re-estimation periods and deadline
+//! caches may all differ per lane — those phases stay per-lane.
 
 use awsad_linalg::kernels::soa::{self, SoaBatch};
 use awsad_linalg::Vector;
 use awsad_reach::{BatchScratch, Deadline};
 
-use crate::adaptive::BatchDeadlinePhase;
+use crate::adaptive::DeadlinePhase;
 use crate::{AdaptiveDetector, AdaptiveStep, DataLogger};
 
 /// One session's view inside a batched step: its logger (with the
@@ -50,12 +51,11 @@ pub struct BatchLane<'a> {
 /// and the bit-identity argument.
 #[derive(Debug, Default)]
 pub struct BatchPlan {
+    currents: Vec<usize>,
+    phases: Vec<DeadlinePhase>,
+    walk_lanes: Vec<usize>,
     walk_scratch: BatchScratch,
     walk_deadlines: Vec<Deadline>,
-    walk_lanes: Vec<usize>,
-    phases: Vec<BatchDeadlinePhase>,
-    windows: Vec<usize>,
-    currents: Vec<usize>,
     alloc_free: Vec<bool>,
     scalar_mean: Vec<bool>,
     means: SoaBatch,
@@ -87,41 +87,41 @@ impl BatchPlan {
             return;
         }
 
-        // Phase A: resolve each lane's deadline source. Aged estimates
-        // and cache hits commit immediately; walk lanes queue up.
+        // Deadline source per lane; lanes that need a walk queue up.
+        self.currents.clear();
         self.phases.clear();
         self.walk_lanes.clear();
         for (j, lane) in lanes.iter_mut().enumerate() {
-            let phase = lane.detector.batch_deadline_phase(lane.logger);
-            if matches!(phase, BatchDeadlinePhase::Walk { .. }) {
+            self.currents.push(
+                lane.logger
+                    .current_step()
+                    .expect("record the current step before detection"),
+            );
+            let phase = lane.detector.deadline_phase(lane.logger);
+            if matches!(phase, DeadlinePhase::Walk { .. }) {
                 self.walk_lanes.push(j);
             }
             self.phases.push(phase);
         }
 
-        // One batched reachability walk answers every queued lane.
-        // Each column of the walk is bit-identical to the scalar
-        // `checked_deadline_with` the lane would have run alone.
+        // Walk kernel: one batched walk answers every queued lane,
+        // each column bit-identical to that lane's scalar walk.
         self.walk_deadlines.clear();
-        if !self.walk_lanes.is_empty() {
-            let first = self.walk_lanes[0];
+        if let Some(&first) = self.walk_lanes.first() {
             let r0 = lanes[first].detector.initial_radius();
-            let mut trusted: Vec<&Vector> = Vec::with_capacity(self.walk_lanes.len());
-            for &j in &self.walk_lanes {
-                let lane = &lanes[j];
-                assert_eq!(
-                    lane.detector.initial_radius().to_bits(),
-                    r0.to_bits(),
-                    "grouped lanes must share the initial radius"
-                );
-                trusted.push(
-                    &lane
-                        .logger
-                        .trusted_entry(lane.detector.previous_window())
-                        .expect("record the current step before detection")
-                        .estimate,
-                );
-            }
+            let trusted: Vec<&Vector> = self
+                .walk_lanes
+                .iter()
+                .map(|&j| {
+                    let lane = &lanes[j];
+                    assert_eq!(
+                        lane.detector.initial_radius().to_bits(),
+                        r0.to_bits(),
+                        "grouped lanes must share the initial radius"
+                    );
+                    lane.detector.trusted_estimate(lane.logger)
+                })
+                .collect();
             lanes[first]
                 .detector
                 .estimator()
@@ -132,69 +132,35 @@ impl BatchPlan {
                     &mut self.walk_deadlines,
                 )
                 .expect("grouped lanes share the estimator's state dimension");
-            drop(trusted);
-            for (k, &j) in self.walk_lanes.iter().enumerate() {
-                let BatchDeadlinePhase::Walk { cache_miss } = self.phases[j] else {
-                    unreachable!("walk_lanes only holds Walk phases");
-                };
-                let lane = &mut lanes[j];
-                lane.detector.batch_commit_walked_deadline(
-                    lane.logger,
-                    self.walk_deadlines[k],
-                    cache_miss,
-                );
-            }
         }
 
-        // Phases B/C per lane: window adjustment and complementary
-        // detection (rare, scalar). `walk_lanes` is ordered, so the
-        // walked deadlines realign by a single cursor.
-        self.windows.clear();
-        self.currents.clear();
-        self.alloc_free.clear();
+        // Commit walked deadlines and open every lane's step. Walk
+        // lanes are in lane order, so one cursor realigns the walk.
         let base = out.len();
-        let mut walk_k = 0usize;
+        let mut walked = self.walk_deadlines.iter();
+        self.alloc_free.clear();
         for (j, lane) in lanes.iter_mut().enumerate() {
-            let (deadline, mut alloc_free) = match self.phases[j] {
-                BatchDeadlinePhase::Ready { deadline } => (deadline, true),
-                BatchDeadlinePhase::Walk { cache_miss } => {
-                    let d = self.walk_deadlines[walk_k];
-                    walk_k += 1;
-                    // A cache insert allocates, exactly like the
-                    // scalar miss path.
-                    (d, !cache_miss)
+            let (deadline, alloc_free) = match self.phases[j] {
+                DeadlinePhase::Ready(deadline) => (deadline, true),
+                DeadlinePhase::Walk { cache_miss } => {
+                    let deadline = *walked.next().expect("one walked deadline per walk lane");
+                    lane.detector
+                        .commit_walked_deadline(lane.logger, deadline, cache_miss);
+                    (deadline, !cache_miss)
                 }
             };
-            let det = &mut *lane.detector;
-            let current = lane
-                .logger
-                .current_step()
-                .expect("record the current step before detection");
-            let w_p = det.previous_window();
-            let w_c = deadline.window_size(det.config().min_window(), det.config().max_window());
-            let complementary_alarms = det.batch_complementary(lane.logger, current, w_p, w_c);
-            if !complementary_alarms.is_empty() {
-                alloc_free = false;
-            }
-            self.windows.push(w_c);
-            self.currents.push(current);
+            out.push(
+                lane.detector
+                    .open_step(lane.logger, self.currents[j], deadline),
+            );
             self.alloc_free.push(alloc_free);
-            out.push(AdaptiveStep {
-                step: current,
-                deadline,
-                window: w_c,
-                previous_window: w_p,
-                current_alarm: false, // filled by phase D below
-                complementary_alarms,
-            });
         }
 
-        // Phase D: one SoA kernel call evaluates every lane's
+        // Mean kernel: one SoA call evaluates every lane's
         // current-window mean; per lane the accumulation order equals
-        // `window_mean_into` exactly. Lanes whose window is not fully
-        // retained (only possible for hand-built loggers — the
-        // detector never outruns retention) fall back to the scalar
-        // check.
+        // `window_mean_into` exactly. A lane whose window is not fully
+        // retained (only possible for hand-built loggers — the detector
+        // never outruns retention) takes the scalar check instead.
         let dim = lanes[0].logger.system().state_dim();
         self.means.reset(dim, n_lanes);
         self.offsets.clear();
@@ -202,53 +168,46 @@ impl BatchPlan {
         self.scalar_mean.clear();
         self.offsets.push(0);
         let mut entries: Vec<&[f64]> = Vec::new();
-        for (j, lane) in lanes.iter().enumerate() {
+        for (lane, step) in lanes.iter().zip(&out[base..]) {
             assert_eq!(
                 lane.logger.system().state_dim(),
                 dim,
                 "grouped lanes must share the state dimension"
             );
-            let current = self.currents[j];
-            let start = current.saturating_sub(self.windows[j]);
+            let start = step.step.saturating_sub(step.window);
             let retained = lane
                 .logger
                 .oldest_step()
                 .is_some_and(|first| start >= first);
             if retained {
-                let mut count = 0usize;
-                for step in start..=current {
-                    entries.push(
-                        lane.logger
-                            .entry(step)
-                            .expect("retained window is contiguous")
-                            .residual
-                            .as_slice(),
-                    );
-                    count += 1;
-                }
-                let divisor = count.saturating_sub(1).max(1);
+                entries.extend((start..=step.step).map(|t| {
+                    lane.logger
+                        .entry(t)
+                        .expect("retained window is contiguous")
+                        .residual
+                        .as_slice()
+                }));
+                let divisor = (step.step - start).max(1);
                 self.factors.push(1.0 / divisor as f64);
-                self.scalar_mean.push(false);
             } else {
                 self.factors.push(1.0);
-                self.scalar_mean.push(true);
             }
+            self.scalar_mean.push(!retained);
             self.offsets.push(entries.len());
         }
         soa::window_mean_lanes(&entries, &self.offsets, &self.factors, &mut self.means);
         drop(entries);
 
-        // Phase E: threshold decisions and finalization.
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            let alarm = if self.scalar_mean[j] {
+        // Threshold decision and close, per lane.
+        for (j, (lane, step)) in lanes.iter_mut().zip(&mut out[base..]).enumerate() {
+            let current_alarm = if self.scalar_mean[j] {
                 lane.detector
-                    .batch_check_current(lane.logger, self.currents[j], self.windows[j])
+                    .check_current(lane.logger, step.step, step.window)
             } else {
-                lane.detector.batch_exceeds_mean(self.means.lane(j))
+                lane.detector.exceeds_mean(self.means.lane(j))
             };
-            out[base + j].current_alarm = alarm;
             lane.detector
-                .batch_finalize(self.windows[j], self.alloc_free[j]);
+                .close_step(step, current_alarm, self.alloc_free[j]);
         }
     }
 }
@@ -383,16 +342,6 @@ mod tests {
         let mut out = Vec::new();
         plan.step_group(&mut [], &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn quantized_cache_is_not_batch_supported() {
-        let (_, mut det) = session(0.1, 8, 1, None, 0.0);
-        assert!(det.batch_supported());
-        det.set_deadline_cache(DeadlineCache::new(CacheConfig::exact(16)));
-        assert!(det.batch_supported());
-        det.set_deadline_cache(DeadlineCache::new(CacheConfig::quantized(0.5, 16)));
-        assert!(!det.batch_supported());
     }
 
     #[test]

@@ -1194,7 +1194,8 @@ fn wire_metrics(
         replication_lag_hwm: engine.replication_lag_hwm,
         batch_ticks: engine.batch_ticks,
         batch_sessions_hwm: engine.batch_sessions_hwm,
-        scalar_fallback_ticks: engine.scalar_fallback_ticks,
+        // Always 0; the field holds its place in the frame layout.
+        scalar_fallback_ticks: 0,
         recalibrations: engine.recalibrations,
         recalibrations_rejected: transport.recalibrations_rejected,
     }

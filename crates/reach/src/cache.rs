@@ -2,29 +2,11 @@ use std::collections::{HashMap, VecDeque};
 
 use awsad_linalg::Vector;
 
-use crate::{Deadline, DeadlineEstimator, DeadlineScratch, Result};
+use crate::{BatchScratch, Deadline, DeadlineEstimator, Result};
 
 /// Configuration of a [`DeadlineCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
-    /// Quantization step applied per state dimension when forming the
-    /// cache key.
-    ///
-    /// `0.0` (the default) keys on the exact bit pattern of the
-    /// trusted state: hits only occur when the same state recurs
-    /// exactly, and cached answers are **identical** to uncached
-    /// queries — detection decisions are unchanged.
-    ///
-    /// A positive quantum `q` snaps each coordinate to its nearest
-    /// multiple of `q`, so nearby states share one entry. To stay
-    /// *sound*, the cached deadline is computed from the snapped
-    /// representative with the initial-state uncertainty radius
-    /// inflated by `q·√n/2` — every state in the bin lies inside that
-    /// ball, so the cached deadline is conservative (never later than
-    /// the true deadline) for the whole bin. Larger `q` → higher hit
-    /// rate, but up-to-`q·√n/2`-worth of extra pessimism in the
-    /// deadline and therefore smaller detection windows.
-    pub quantum: f64,
     /// Maximum number of retained entries; the oldest entry is evicted
     /// (FIFO) once the bound is reached.
     pub capacity: usize,
@@ -32,25 +14,14 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            quantum: 0.0,
-            capacity: 4096,
-        }
+        CacheConfig { capacity: 4096 }
     }
 }
 
 impl CacheConfig {
-    /// An exact-key cache (quantum 0) with the given capacity.
+    /// A cache with the given capacity.
     pub fn exact(capacity: usize) -> Self {
-        CacheConfig {
-            quantum: 0.0,
-            capacity,
-        }
-    }
-
-    /// A quantized cache with the given bin width and capacity.
-    pub fn quantized(quantum: f64, capacity: usize) -> Self {
-        CacheConfig { quantum, capacity }
+        CacheConfig { capacity }
     }
 }
 
@@ -83,14 +54,23 @@ impl CacheStats {
 ///
 /// The deadline search is the dominant per-step cost of the adaptive
 /// detector — `O(w_m · n²)` per query — yet consecutive control steps
-/// frequently query near-identical trusted states (steady-state
-/// operation, convergent regulation). The cache maps a (quantized)
-/// trusted state to its deadline, bounded by a FIFO eviction policy.
+/// frequently query identical trusted states (steady-state operation,
+/// convergent regulation). The cache maps a trusted state and radius,
+/// keyed on their exact f64 bit patterns, to its deadline, bounded by
+/// a FIFO eviction policy. A hit returns exactly what the walk would,
+/// so detection decisions are unchanged.
 ///
-/// See [`CacheConfig::quantum`] for the exactness/soundness contract.
+/// There is one miss path: [`DeadlineCache::lookup`] counts the miss,
+/// the caller walks (one state through
+/// [`DeadlineEstimator::checked_deadline_with`], or many through one
+/// batched walk), and [`DeadlineCache::insert_computed`] stores the
+/// answer. [`DeadlineCache::deadline`] runs that sequence for one
+/// state; [`DeadlineCache::prewarm`] runs the batched walk and the
+/// inserts for many states ahead of their lookups.
 #[derive(Debug, Clone)]
 pub struct DeadlineCache {
-    config: CacheConfig,
+    /// Retained-entry bound (at least 1).
+    capacity: usize,
     entries: HashMap<Vec<u64>, Deadline>,
     order: VecDeque<Vec<u64>>,
     stats: CacheStats,
@@ -99,18 +79,11 @@ pub struct DeadlineCache {
 }
 
 /// Builds the cache key for `(x0, r0)` into `key` (cleared first):
-/// per-dimension quantized bins when `quantum > 0`, exact f64 bit
-/// patterns otherwise, with `r0`'s bits appended.
-fn build_key(quantum: f64, x0: &Vector, r0: f64, key: &mut Vec<u64>) {
+/// the exact f64 bit patterns of `x0` with `r0`'s bits appended.
+fn build_key(x0: &Vector, r0: f64, key: &mut Vec<u64>) {
     key.clear();
     key.reserve(x0.len() + 1);
-    for d in 0..x0.len() {
-        if quantum > 0.0 {
-            key.push((x0[d] / quantum).round() as i64 as u64);
-        } else {
-            key.push(x0[d].to_bits());
-        }
-    }
+    key.extend(x0.as_slice().iter().map(|v| v.to_bits()));
     key.push(r0.to_bits());
 }
 
@@ -119,17 +92,12 @@ impl DeadlineCache {
     pub fn new(config: CacheConfig) -> Self {
         let capacity = config.capacity.max(1);
         DeadlineCache {
-            config: CacheConfig { capacity, ..config },
+            capacity,
             entries: HashMap::with_capacity(capacity.min(1024)),
             order: VecDeque::new(),
             stats: CacheStats::default(),
             key_scratch: Vec::new(),
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Effectiveness counters accumulated since construction.
@@ -141,79 +109,39 @@ impl DeadlineCache {
     }
 
     /// The deadline from `x0` with initial-state radius `r0`, answered
-    /// from the cache when possible.
+    /// from the cache when possible: [`DeadlineCache::lookup`], then on
+    /// a miss the walk and [`DeadlineCache::insert_computed`].
     ///
     /// # Errors
     ///
     /// Returns [`crate::ReachError::DimensionMismatch`] for a
-    /// wrong-length `x0`.
+    /// wrong-length `x0` (the miss is counted, nothing is stored).
     pub fn deadline(
         &mut self,
         estimator: &DeadlineEstimator,
         x0: &Vector,
         r0: f64,
     ) -> Result<Deadline> {
-        let mut scratch = DeadlineScratch::new();
-        self.deadline_with(estimator, x0, r0, &mut scratch)
-    }
-
-    /// Like [`DeadlineCache::deadline`], but misses run the
-    /// allocation-free walk on caller-held scratch — on a hit the
-    /// lookup itself allocates nothing (the key is built in a reusable
-    /// buffer), so a warm cache keeps the detect path heap-quiet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::ReachError::DimensionMismatch`] for a
-    /// wrong-length `x0`.
-    pub fn deadline_with(
-        &mut self,
-        estimator: &DeadlineEstimator,
-        x0: &Vector,
-        r0: f64,
-        scratch: &mut DeadlineScratch,
-    ) -> Result<Deadline> {
-        build_key(self.config.quantum, x0, r0, &mut self.key_scratch);
-        if let Some(&hit) = self.entries.get(self.key_scratch.as_slice()) {
-            self.stats.hits += 1;
+        if let Some(hit) = self.lookup(x0, r0) {
             return Ok(hit);
         }
-        self.stats.misses += 1;
-        let q = self.config.quantum;
-        let deadline = if q > 0.0 {
-            // Evaluate at the bin's snapped representative with the
-            // radius inflated to cover the whole bin (soundness: every
-            // state keyed here lies within q·√n/2 of the
-            // representative).
-            let snapped = Vector::from_fn(x0.len(), |d| (x0[d] / q).round() * q);
-            let inflation = 0.5 * q * (x0.len() as f64).sqrt();
-            estimator.checked_deadline_with(&snapped, r0 + inflation, scratch)?
-        } else {
-            estimator.checked_deadline_with(x0, r0, scratch)?
-        };
-        let key = self.key_scratch.clone();
-        self.insert(key, deadline);
+        let deadline = estimator.checked_deadline(x0, r0)?;
+        self.insert_computed(x0, r0, deadline);
         Ok(deadline)
     }
 
-    /// The lookup half of [`DeadlineCache::deadline_with`], split out
-    /// for callers that resolve misses in bulk: builds the key and
-    /// returns the cached deadline, counting a hit — or counts a miss
-    /// and returns `None`, leaving the computation to the caller.
+    /// The first step of the miss path: builds the key in a reusable
+    /// buffer and returns the cached deadline, counting a hit — or
+    /// counts a miss and returns `None`, leaving the walk to the
+    /// caller. A hit allocates nothing.
     ///
-    /// A caller that answers the miss must evaluate it exactly as
-    /// [`DeadlineCache::deadline_with`] would (for an exact-mode cache,
-    /// `quantum == 0`: a plain walk from `(x0, r0)`) and hand the
-    /// result back through [`DeadlineCache::insert_computed`] with the
-    /// same `(x0, r0)`. The pair then reproduces `deadline_with`'s
-    /// cache state and statistics exactly: one miss counted here, no
-    /// extra count at insert. The runtime's batch planner uses this to
-    /// fold many sessions' misses into one batched walk; it only
-    /// batches exact-mode caches, since a quantized miss must be
-    /// re-evaluated at its snapped representative with an inflated
-    /// radius.
+    /// The caller answers a miss with a plain walk from `(x0, r0)`
+    /// (one state through [`DeadlineEstimator::checked_deadline_with`]
+    /// or a group through one batched walk, bit-identical per state)
+    /// and hands it back through [`DeadlineCache::insert_computed`]
+    /// with the same `(x0, r0)`.
     pub fn lookup(&mut self, x0: &Vector, r0: f64) -> Option<Deadline> {
-        build_key(self.config.quantum, x0, r0, &mut self.key_scratch);
+        build_key(x0, r0, &mut self.key_scratch);
         if let Some(&hit) = self.entries.get(self.key_scratch.as_slice()) {
             self.stats.hits += 1;
             return Some(hit);
@@ -222,27 +150,26 @@ impl DeadlineCache {
         None
     }
 
-    /// Stores a deadline the caller computed for a
-    /// [`DeadlineCache::lookup`] miss on the same `(x0, r0)`. Counts
-    /// nothing — the miss was already counted by the lookup — so
-    /// `lookup` + compute + `insert_computed` is stat-identical and
-    /// state-identical to one [`DeadlineCache::deadline_with`] call.
+    /// The last step of the miss path: stores a deadline the caller
+    /// walked for a [`DeadlineCache::lookup`] miss on the same
+    /// `(x0, r0)`. Counts nothing — the lookup already counted the
+    /// miss.
     pub fn insert_computed(&mut self, x0: &Vector, r0: f64, deadline: Deadline) {
-        build_key(self.config.quantum, x0, r0, &mut self.key_scratch);
+        build_key(x0, r0, &mut self.key_scratch);
         let key = self.key_scratch.clone();
         self.insert(key, deadline);
     }
 
     /// Speculatively fills the cache for a batch of states with one
-    /// [`DeadlineEstimator::deadline_batch`] walk.
+    /// [`DeadlineEstimator::deadline_batch_refs_with`] walk over the
+    /// borrowed states.
     ///
     /// States already cached (or duplicated within `states`) are
-    /// skipped; the rest are evaluated together — in quantized mode at
-    /// their snapped representatives with the usual radius inflation,
-    /// so a prewarmed entry is bit-identical to the one a cache miss
-    /// would have produced. Each computed entry counts as a miss
-    /// (the later lookup that consumes it then counts as a hit, which
-    /// keeps hit-rate accounting aligned with the scalar miss path).
+    /// skipped; the rest are walked together, and each entry is
+    /// bit-identical to the one the per-state miss path would store.
+    /// Each computed entry counts as a miss (the later lookup that
+    /// consumes it then counts as a hit, which keeps hit-rate
+    /// accounting aligned with the per-state miss path).
     ///
     /// Returns the number of entries computed.
     ///
@@ -256,32 +183,23 @@ impl DeadlineCache {
         states: &[&Vector],
         r0: f64,
     ) -> Result<usize> {
-        let q = self.config.quantum;
         let mut keys: Vec<Vec<u64>> = Vec::new();
-        let mut reps: Vec<Vector> = Vec::new();
-        for s in states {
-            build_key(q, s, r0, &mut self.key_scratch);
+        let mut fresh: Vec<&Vector> = Vec::new();
+        for &s in states {
+            build_key(s, r0, &mut self.key_scratch);
             if self.entries.contains_key(self.key_scratch.as_slice())
                 || keys.contains(&self.key_scratch)
             {
                 continue;
             }
             keys.push(self.key_scratch.clone());
-            reps.push(if q > 0.0 {
-                Vector::from_fn(s.len(), |d| (s[d] / q).round() * q)
-            } else {
-                (*s).clone()
-            });
+            fresh.push(s);
         }
-        if reps.is_empty() {
+        if fresh.is_empty() {
             return Ok(0);
         }
-        let eff_r0 = if q > 0.0 {
-            r0 + 0.5 * q * (reps[0].len() as f64).sqrt()
-        } else {
-            r0
-        };
-        let deadlines = estimator.deadline_batch(&reps, eff_r0)?;
+        let mut deadlines = Vec::with_capacity(fresh.len());
+        estimator.deadline_batch_refs_with(&fresh, r0, &mut BatchScratch::new(), &mut deadlines)?;
         let count = deadlines.len();
         for (key, deadline) in keys.into_iter().zip(deadlines) {
             self.stats.misses += 1;
@@ -297,7 +215,7 @@ impl DeadlineCache {
     }
 
     fn insert(&mut self, key: Vec<u64>, deadline: Deadline) {
-        while self.entries.len() >= self.config.capacity {
+        while self.entries.len() >= self.capacity {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
@@ -351,13 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_insert_computed_reproduces_deadline_with_exactly() {
+    fn lookup_insert_computed_reproduces_deadline_exactly() {
         let est = integrator();
         let mut split = DeadlineCache::new(CacheConfig::exact(64));
         let mut fused = DeadlineCache::new(CacheConfig::exact(64));
         let mut scratch = crate::DeadlineScratch::new();
         for x in [0.0, 3.0, 0.0, -2.5, 3.0, 0.0] {
-            let reference = fused.deadline_with(&est, &v(x), 0.0, &mut scratch).unwrap();
+            let reference = fused.deadline(&est, &v(x), 0.0).unwrap();
             let got = match split.lookup(&v(x), 0.0) {
                 Some(hit) => hit,
                 None => {
@@ -379,26 +297,6 @@ mod tests {
         let b = cache.deadline(&est, &v(3.0), 1.0).unwrap();
         assert!(b.is_tighter_than(a));
         assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn quantized_mode_is_sound() {
-        let est = integrator();
-        let q = 0.5;
-        let mut cache = DeadlineCache::new(CacheConfig::quantized(q, 64));
-        // Every cached answer must be no later than the exact deadline
-        // for every state in its bin.
-        for i in 0..40 {
-            let x = -4.0 + 0.2 * i as f64;
-            let cached = cache.deadline(&est, &v(x), 0.0).unwrap();
-            let exact = est.checked_deadline(&v(x), 0.0).unwrap();
-            assert!(
-                cached == exact || cached.is_tighter_than(exact),
-                "x={x}: cached {cached} later than exact {exact}"
-            );
-        }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "bin sharing must produce hits");
     }
 
     #[test]
@@ -434,22 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_with_scratch_matches_plain_lookup() {
-        let est = integrator();
-        let mut plain = DeadlineCache::new(CacheConfig::exact(64));
-        let mut scratched = DeadlineCache::new(CacheConfig::exact(64));
-        let mut scratch = DeadlineScratch::new();
-        for x in [0.0, 3.0, 0.0, -2.0, 3.0] {
-            let a = plain.deadline(&est, &v(x), 0.0).unwrap();
-            let b = scratched
-                .deadline_with(&est, &v(x), 0.0, &mut scratch)
-                .unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(plain.stats(), scratched.stats());
-    }
-
-    #[test]
     fn prewarm_turns_lookups_into_hits() {
         let est = integrator();
         let mut cache = DeadlineCache::new(CacheConfig::exact(64));
@@ -467,23 +349,6 @@ mod tests {
         assert_eq!(stats.misses, 3);
         // Prewarming again computes nothing.
         assert_eq!(cache.prewarm(&est, &refs, 0.0).unwrap(), 0);
-    }
-
-    #[test]
-    fn prewarm_quantized_matches_miss_path() {
-        let est = integrator();
-        let q = 0.5;
-        let states: Vec<Vector> = (0..10).map(|i| v(-2.0 + 0.3 * i as f64)).collect();
-        let refs: Vec<&Vector> = states.iter().collect();
-        let mut warmed = DeadlineCache::new(CacheConfig::quantized(q, 64));
-        warmed.prewarm(&est, &refs, 0.0).unwrap();
-        let mut cold = DeadlineCache::new(CacheConfig::quantized(q, 64));
-        for s in &states {
-            let a = warmed.deadline(&est, s, 0.0).unwrap();
-            let b = cold.deadline(&est, s, 0.0).unwrap();
-            assert_eq!(a, b, "prewarmed entry must equal the miss-path entry");
-        }
-        assert_eq!(warmed.stats().hits, states.len() as u64);
     }
 
     #[test]

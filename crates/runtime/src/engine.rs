@@ -55,8 +55,8 @@ pub struct EngineConfig {
     /// model and window geometry, and steps each group through
     /// [`awsad_core::BatchPlan`] — structure-of-arrays kernels that
     /// amortize the reachability walk and window means across lanes.
-    /// Sessions that cannot batch (quantized deadline caches) and
-    /// degraded ticks fall back to the scalar path automatically.
+    /// Every session batches; degraded ticks are stepped by
+    /// [`AdaptiveDetector::step_degraded`] beside their group.
     /// Outcomes are bit-identical to the per-session path either way.
     pub cross_session_batch: bool,
 }
@@ -199,18 +199,16 @@ struct SessionSlot {
     /// on close.
     space: Condvar,
     state: Mutex<SessionState>,
-    /// Batch-grouping key: sessions with equal keys share an estimator
-    /// walk fingerprint, seeding radius and window clamp range, so the
-    /// mega-drain may step them through one [`BatchPlan`] group.
-    /// `None` means this session always takes the scalar path (batch
-    /// mode off, or a quantized deadline cache whose miss semantics
-    /// the batched walk cannot reproduce). Behind a mutex because a
+    /// Batch-grouping key (batch mode only; `0` otherwise): sessions
+    /// with equal keys share an estimator walk fingerprint, seeding
+    /// radius and window clamp range, so the mega-drain may step them
+    /// through one [`BatchPlan`] group. Behind a mutex because a
     /// mid-stream recalibration swaps the estimator fingerprint; it is
     /// only written while the session is quiescent and unclaimed
     /// (inbox lock held, queue empty, `scheduled` false), and the
     /// mega-drain reads it only after claiming the session, so a read
     /// taken under either discipline is stable for the whole drain.
-    batch_key: Mutex<Option<u64>>,
+    batch_key: Mutex<u64>,
     /// Set when a panic escaped this session's detector or logger
     /// (e.g. a wrong-dimension tick tripping [`DataLogger::record`]'s
     /// assert). A failed session is closed, its queued ticks are
@@ -438,10 +436,10 @@ impl DetectionEngine {
             id
         };
         let (tx, rx) = mpsc::channel();
-        let batch_key = if self.shared.config.cross_session_batch && detector.batch_supported() {
-            Some(batch_key_of(&detector))
+        let batch_key = if self.shared.config.cross_session_batch {
+            batch_key_of(&detector)
         } else {
-            None
+            0
         };
         let slot = Arc::new(SessionSlot {
             id,
@@ -888,8 +886,7 @@ impl SessionHandle {
         // batch-group key must follow — still under the inbox lock,
         // before any drain can observe the new model.
         if self.slot.engine.config.cross_session_batch {
-            *lock_recover(&self.slot.batch_key) =
-                detector.batch_supported().then(|| batch_key_of(detector));
+            *lock_recover(&self.slot.batch_key) = batch_key_of(detector);
         }
         self.slot
             .engine
@@ -977,7 +974,7 @@ fn drain_session(slot: &SessionSlot) {
         slot.space.notify_all();
 
         let engine = &slot.engine;
-        let processed = state.process_queued(slot, &mut batch).0;
+        let processed = state.process_queued(slot, &mut batch);
         drop(state);
 
         let mut pending = lock_recover(&engine.pending);
@@ -991,7 +988,7 @@ fn drain_session(slot: &SessionSlot) {
 impl SessionState {
     /// [`process_batch_scalar`] with every outcome sent down the
     /// session's channel — the pool drains' way out.
-    fn process_queued(&mut self, slot: &SessionSlot, batch: &mut Vec<QueuedTick>) -> (u64, u64) {
+    fn process_queued(&mut self, slot: &SessionSlot, batch: &mut Vec<QueuedTick>) -> u64 {
         let SessionState {
             logger,
             detector,
@@ -1005,12 +1002,11 @@ impl SessionState {
 }
 
 /// Steps one session through an already-popped batch of its ticks on
-/// the scalar path — the common core of the per-session drain, the
-/// mega-drain's fallback for unbatchable sessions and
+/// the scalar path — the common core of the per-session drain and
 /// [`SessionHandle::step_batch`]. Hands each outcome to `emit`, in
 /// order. Updates every metric except `ticks_submitted` and the
 /// pending count (the callers own those, at different
-/// granularities). Returns `(processed, degraded)` counts.
+/// granularities). Returns the number of ticks processed.
 ///
 /// When the batch carries more than one tick and the detector has a
 /// deadline cache, the batch's estimates are prewarmed with one
@@ -1024,7 +1020,7 @@ fn process_batch_scalar(
     detector: &mut AdaptiveDetector,
     batch: &mut Vec<QueuedTick>,
     mut emit: impl FnMut(TickOutcome),
-) -> (u64, u64) {
+) -> u64 {
     let engine = &slot.engine;
 
     if batch.len() > 1 && detector.has_deadline_cache() {
@@ -1117,7 +1113,7 @@ fn process_batch_scalar(
             .alloc_free_ticks
             .fetch_add(alloc_free, Ordering::Relaxed);
     }
-    (processed, degraded_ticks)
+    processed
 }
 
 /// Fails one session after a panic escaped its logger/detector step:
@@ -1170,9 +1166,9 @@ struct GroupLatch {
 /// across sessions, structure-of-arrays kernels under the hood — and
 /// **scatters** whole groups onto spare pool workers when there are
 /// any (the gather thread always processes the first group itself, so
-/// progress never depends on another worker being free). Unbatchable
-/// sessions (`batch_key == None`) and degraded ticks take the scalar
-/// path, so every outcome stream is bit-identical to scalar mode.
+/// progress never depends on another worker being free). Degraded
+/// ticks are stepped beside their group, and every outcome stream is
+/// bit-identical to scalar mode.
 ///
 /// With no pool (an engine built by [`DetectionEngine::without_pool`])
 /// it runs on the submitting thread and processes every group itself.
@@ -1186,7 +1182,7 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
             registry.retain(|weak| weak.strong_count() > 0);
             registry.iter().filter_map(Weak::upgrade).collect()
         };
-        let mut gathered: Vec<(Option<u64>, Arc<SessionSlot>, Vec<QueuedTick>)> = Vec::new();
+        let mut gathered: Vec<(u64, Arc<SessionSlot>, Vec<QueuedTick>)> = Vec::new();
         let mut round_ticks = 0u64;
         for slot in slots {
             let mut inbox = lock_recover(&slot.inbox);
@@ -1231,21 +1227,15 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
             continue;
         }
 
-        // Group claimed sessions by batch key. `None` sorts first;
-        // those sessions are unbatchable, so each becomes its own
-        // scalar "group".
+        // Group claimed sessions by batch key.
         gathered.sort_by_key(|(key, _, _)| *key);
         let mut groups: Vec<Vec<(Arc<SessionSlot>, Vec<QueuedTick>)>> = Vec::new();
-        let mut prev_key: Option<Option<u64>> = None;
+        let mut prev_key = None;
         for (key, slot, batch) in gathered {
-            let split = match prev_key {
-                Some(prev) => prev.is_none() || prev != key,
-                None => true,
-            };
-            if split {
+            if prev_key != Some(key) {
                 groups.push(Vec::new());
+                prev_key = Some(key);
             }
-            prev_key = Some(key);
             groups.last_mut().expect("just pushed").push((slot, batch));
         }
 
@@ -1258,13 +1248,13 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
                 done: Condvar::new(),
             });
             let mut rest = groups.into_iter();
-            let mut first = rest.next().expect("non-empty groups");
-            for mut group in rest {
+            let first = rest.next().expect("non-empty groups");
+            for group in rest {
                 let shared2 = Arc::clone(shared);
                 let latch2 = Arc::clone(&latch);
                 pool.execute(move || {
                     let mut plan = BatchPlan::new();
-                    process_group(&shared2, &mut plan, &mut group);
+                    process_group(&shared2, &mut plan, group);
                     let mut remaining = lock_recover(&latch2.remaining);
                     *remaining -= 1;
                     if *remaining == 0 {
@@ -1272,14 +1262,14 @@ fn mega_drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
                     }
                 });
             }
-            process_group(shared, &mut plan, &mut first);
+            process_group(shared, &mut plan, first);
             let mut remaining = lock_recover(&latch.remaining);
             while *remaining > 0 {
                 remaining = wait_recover(&latch.done, remaining);
             }
         } else {
-            for mut group in groups {
-                process_group(shared, &mut plan, &mut group);
+            for group in groups {
+                process_group(shared, &mut plan, group);
             }
         }
 
@@ -1301,51 +1291,24 @@ fn finish_slot(slot: &SessionSlot) {
     slot.space.notify_all();
 }
 
-/// Processes one gathered group: scalar sessions one by one, batchable
-/// sessions in lock-step through the [`BatchPlan`]. Clears every
-/// member's claim on the way out.
-fn process_group(
-    shared: &EngineShared,
-    plan: &mut BatchPlan,
-    group: &mut Vec<(Arc<SessionSlot>, Vec<QueuedTick>)>,
-) {
-    if lock_recover(&group[0].0.batch_key).is_none() {
-        for (slot, batch) in group.iter_mut() {
-            let mut state = lock_recover(&slot.state);
-            let (processed, degraded) = state.process_queued(slot, batch);
-            drop(state);
-            shared
-                .metrics
-                .scalar_fallback_ticks
-                .fetch_add(processed - degraded, Ordering::Relaxed);
-            finish_slot(slot);
-        }
-        return;
-    }
-    let (slots, mut batches): (Vec<_>, Vec<_>) = group.drain(..).unzip();
-    process_group_vectorized(shared, plan, &slots, &mut batches);
-    for slot in &slots {
-        finish_slot(slot);
-    }
-}
-
 /// Steps a group of same-key sessions in lock-step: tick position 0 of
 /// every session forms one [`BatchPlan`] lane set, then position 1,
 /// and so on — per-session FIFO holds because each session contributes
 /// at most one tick per position, in order. Degraded ticks are stepped
 /// scalar (`step_degraded`) inline at their position; everything else
-/// rides the structure-of-arrays batch.
+/// rides the structure-of-arrays batch. Clears every member's claim on
+/// the way out.
 ///
 /// All member state locks are held for the whole group (the gather
 /// already claimed every member via `Inbox::scheduled`, so the only
 /// other state-lock takers — snapshots, cache stats — briefly wait,
 /// exactly as they would behind a scalar drain's batch).
-fn process_group_vectorized(
+fn process_group(
     shared: &EngineShared,
     plan: &mut BatchPlan,
-    slots: &[Arc<SessionSlot>],
-    batches: &mut [Vec<QueuedTick>],
+    group: Vec<(Arc<SessionSlot>, Vec<QueuedTick>)>,
 ) {
+    let (slots, mut batches): (Vec<_>, Vec<_>) = group.into_iter().unzip();
     let mut guards: Vec<_> = slots.iter().map(|slot| lock_recover(&slot.state)).collect();
     let mut cursors = vec![0usize; slots.len()];
     let mut processed = 0u64;
@@ -1486,6 +1449,9 @@ fn process_group_vectorized(
             .metrics
             .batch_ticks
             .fetch_add(batch_ticks, Ordering::Relaxed);
+    }
+    for slot in &slots {
+        finish_slot(slot);
     }
 }
 
@@ -1798,7 +1764,6 @@ mod tests {
         let (s0, o0) = engine.add_session(l0, d0);
         let (s1, o1) = engine.add_session(l1, d1);
         let key_before = *lock_recover(&s0.slot.batch_key);
-        assert!(key_before.is_some());
         assert_eq!(key_before, *lock_recover(&s1.slot.batch_key));
 
         let trace: Vec<f64> = (0..30).map(|t| 0.03 * t as f64).collect();
@@ -1809,7 +1774,6 @@ mod tests {
         engine.drain();
         s0.recalibrate(&new_a, &new_b).unwrap();
         let key_after = *lock_recover(&s0.slot.batch_key);
-        assert!(key_after.is_some());
         assert_ne!(key_after, key_before, "fingerprint must follow the model");
         assert_eq!(*lock_recover(&s1.slot.batch_key), key_before);
         for &x in &trace[15..] {
@@ -2300,9 +2264,10 @@ mod tests {
     }
 
     /// Mixed fleet on a batch-mode engine vs direct per-detector
-    /// stepping: same-model sessions (batchable), a quantized-cache
-    /// session (scalar fallback), and a forced degrade pattern — every
-    /// outcome stream must be bit-identical to standalone stepping.
+    /// stepping: same-model sessions with and without an exact
+    /// deadline cache, a session with another horizon, and a forced
+    /// degrade pattern — every outcome stream must be bit-identical to
+    /// standalone stepping.
     #[test]
     fn batch_mode_matches_direct_detector_stepping() {
         let engine = DetectionEngine::new(EngineConfig {
@@ -2310,10 +2275,10 @@ mod tests {
             cross_session_batch: true,
             ..EngineConfig::default()
         });
-        // Sessions 0-3: same plant/geometry (one batch group, varied
-        // thresholds are fine). Session 4: quantized deadline cache —
-        // never batchable. Session 5: different horizon → different
-        // fingerprint → its own group.
+        // Sessions 0-4: same plant/geometry (one batch group, varied
+        // thresholds are fine); session 4 carries an exact deadline
+        // cache. Session 5: different horizon → different fingerprint
+        // → its own group.
         let mut sessions = Vec::new();
         let mut direct = Vec::new();
         for i in 0..6 {
@@ -2322,8 +2287,8 @@ mod tests {
             let (logger, mut det) = parts(tau, w_m);
             let (ref_logger, mut det_ref) = parts(tau, w_m);
             if i == 4 {
-                det.set_deadline_cache(DeadlineCache::new(CacheConfig::quantized(0.5, 64)));
-                det_ref.set_deadline_cache(DeadlineCache::new(CacheConfig::quantized(0.5, 64)));
+                det.set_deadline_cache(DeadlineCache::new(CacheConfig::exact(64)));
+                det_ref.set_deadline_cache(DeadlineCache::new(CacheConfig::exact(64)));
             }
             sessions.push(engine.add_session(logger, det));
             direct.push((ref_logger, det_ref));
@@ -2358,10 +2323,10 @@ mod tests {
         }
         let m = engine.metrics();
         assert_eq!(m.ticks_processed, 6 * ticks as u64);
-        assert!(m.batch_ticks > 0, "same-model sessions must vectorize");
-        assert!(
-            m.scalar_fallback_ticks > 0,
-            "the quantized-cache session must fall back scalar"
+        assert_eq!(
+            m.batch_ticks,
+            m.ticks_processed - m.degraded_ticks,
+            "every non-degraded tick must vectorize"
         );
         assert!(
             m.batch_sessions_hwm >= 2,

@@ -34,8 +34,8 @@
 //!
 //! The reachability query is the dominant per-tick cost; sessions can
 //! install an `awsad_reach::DeadlineCache` on their detector before
-//! registration to memoize it (exact mode changes no decision — see
-//! that type for the quantization trade-off).
+//! registration to memoize it (a cached answer is the walk's own, so
+//! no decision changes).
 //!
 //! See `examples/streaming_detection.rs` at the workspace root for a
 //! 64-session end-to-end run.

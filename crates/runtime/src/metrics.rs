@@ -171,7 +171,6 @@ pub(crate) struct MetricsInner {
     pub(crate) replication_lag_hwm: AtomicU64,
     pub(crate) batch_ticks: AtomicU64,
     pub(crate) batch_sessions_hwm: AtomicU64,
-    pub(crate) scalar_fallback_ticks: AtomicU64,
     pub(crate) recalibrations: AtomicU64,
     pub(crate) log_latency: HistInner,
     pub(crate) detect_latency: HistInner,
@@ -193,7 +192,6 @@ impl MetricsInner {
             replication_lag_hwm: self.replication_lag_hwm.load(Ordering::Relaxed),
             batch_ticks: self.batch_ticks.load(Ordering::Relaxed),
             batch_sessions_hwm: self.batch_sessions_hwm.load(Ordering::Relaxed),
-            scalar_fallback_ticks: self.scalar_fallback_ticks.load(Ordering::Relaxed),
             recalibrations: self.recalibrations.load(Ordering::Relaxed),
             log_latency: self.log_latency.snapshot(),
             detect_latency: self.detect_latency.snapshot(),
@@ -243,9 +241,10 @@ pub struct RuntimeMetrics {
     /// high-water mark, not a rate — it answers "how stale could the
     /// backup have been at the worst moment".
     pub replication_lag_hwm: u64,
-    /// Non-degraded ticks stepped through the cross-session batched
-    /// path (structure-of-arrays lanes in a `BatchPlan` group) rather
-    /// than a per-session scalar step. Zero unless
+    /// Non-degraded ticks the mega drain stepped as structure-of-arrays
+    /// lanes of a `BatchPlan` group. In batch mode that is every
+    /// non-degraded queued tick; `SessionHandle::step_batch` steps on
+    /// the scalar core and does not count here. Zero unless
     /// `EngineConfig::cross_session_batch` is on.
     pub batch_ticks: u64,
     /// Widest lane set a single batched detection step has covered —
@@ -253,11 +252,6 @@ pub struct RuntimeMetrics {
     /// moment. A high-water mark, merged by max like the other
     /// high-waters.
     pub batch_sessions_hwm: u64,
-    /// Non-degraded ticks that fell back to the scalar path while the
-    /// engine was in batch mode (unbatchable sessions: quantized
-    /// deadline caches). Degraded ticks count in `degraded_ticks`
-    /// only, never here.
-    pub scalar_fallback_ticks: u64,
     /// Mid-stream plant-model swaps accepted by live sessions
     /// (`SessionHandle::recalibrate` calls that succeeded). Rejected
     /// attempts leave the session untouched and are counted at the
@@ -320,9 +314,6 @@ impl RuntimeMetrics {
             // A lane width some batched step really reached; sums
             // would claim widths that never existed.
             batch_sessions_hwm: self.batch_sessions_hwm.max(other.batch_sessions_hwm),
-            scalar_fallback_ticks: self
-                .scalar_fallback_ticks
-                .saturating_add(other.scalar_fallback_ticks),
             recalibrations: self.recalibrations.saturating_add(other.recalibrations),
             log_latency: self.log_latency.merged(&other.log_latency),
             detect_latency: self.detect_latency.merged(&other.detect_latency),
@@ -444,16 +435,13 @@ mod tests {
         let (a, b) = (MetricsInner::default(), MetricsInner::default());
         a.batch_ticks.store(100, Ordering::Relaxed);
         a.batch_sessions_hwm.store(16, Ordering::Relaxed);
-        a.scalar_fallback_ticks.store(3, Ordering::Relaxed);
         a.recalibrations.store(2, Ordering::Relaxed);
         b.batch_ticks.store(50, Ordering::Relaxed);
         b.batch_sessions_hwm.store(9, Ordering::Relaxed);
-        b.scalar_fallback_ticks.store(7, Ordering::Relaxed);
         b.recalibrations.store(3, Ordering::Relaxed);
         let merged = a.snapshot().merged(&b.snapshot());
         assert_eq!(merged.batch_ticks, 150);
         assert_eq!(merged.batch_sessions_hwm, 16, "lane width is a high-water");
-        assert_eq!(merged.scalar_fallback_ticks, 10);
         assert_eq!(merged.recalibrations, 5, "model swaps sum across shards");
         assert_eq!(RuntimeMetrics::zero().merged(&merged), merged);
     }

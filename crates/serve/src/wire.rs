@@ -593,9 +593,10 @@ pub struct WireMetrics {
     /// merged across shards by max, like `queue_depth_high_water`.
     /// Tenth appended counter, zeroed when absent.
     pub batch_sessions_hwm: u64,
-    /// Non-degraded ticks that fell back to the scalar path while the
-    /// engine was in batch mode. Eleventh appended counter, zeroed
-    /// when absent.
+    /// Always 0: it counted batch-mode ticks that fell back to the
+    /// scalar step, and every session now batches. Kept so the frame
+    /// layout is unchanged. Eleventh appended counter, zeroed when
+    /// absent.
     pub scalar_fallback_ticks: u64,
     /// Mid-stream recalibrations accepted (`Recalibrate` frames that
     /// swapped a session's plant model in place). Twelfth appended

@@ -18,7 +18,7 @@
 //! * [`oracle`] — differential oracles that run one scenario through
 //!   every detection path and assert bit-identical step streams, plus
 //!   deadline-estimator self-checks (precomputed boxes vs the
-//!   reference formula, quantized-cache conservatism).
+//!   reference formula, deadline-cache transparency).
 //! * [`wirefuzz`] — a structure-aware fuzzer for the wire protocol:
 //!   generates valid frames, then mutates them (length-prefix lies,
 //!   truncation, bit flips, envelope corruption, hostile allocation

@@ -2,10 +2,11 @@
 //! bits.
 //!
 //! The stack computes one [`AdaptiveStep`] stream many independent
-//! ways: direct [`AdaptiveDetector`] stepping, the runtime engine,
-//! the wire path through the `awsad-net` server (its shard engines and
-//! incremental decoder), [`ReconnectingClient`] resume through
-//! transport failure, snapshot/restore into a fresh engine, the
+//! ways: direct [`awsad_core::AdaptiveDetector`] stepping, the
+//! runtime engine, the wire path through the `awsad-net` server (its
+//! shard engines and incremental decoder), [`ReconnectingClient`]
+//! resume through transport failure, snapshot/restore into a fresh
+//! engine, the
 //! `awsad-cluster` router streaming across a 3-shard consistent-hash
 //! ring with its primary killed mid-stream, the cross-session SoA
 //! batch path that gathers co-pending ticks from *many* sessions and
@@ -23,9 +24,8 @@
 //!
 //! Alongside the stream oracles sit the estimator self-checks: the
 //! precomputed-box deadline walk against the seed-formula
-//! [`DeadlineEstimator::reference_deadline`], exact-cache
-//! transparency, and quantized-cache conservatism (a quantized answer
-//! may be *earlier* than the exact deadline, never later).
+//! [`DeadlineEstimator::reference_deadline`], and deadline-cache
+//! transparency (a miss and a hit both equal the walk).
 
 use std::fmt;
 use std::net::SocketAddr;
@@ -33,9 +33,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use awsad_cluster::{LocalCluster, Recoveries};
-use awsad_core::{AdaptiveDetector, AdaptiveStep, DataLogger};
+use awsad_core::AdaptiveStep;
 use awsad_linalg::Vector;
-use awsad_reach::{CacheConfig, Deadline, DeadlineCache, DeadlineEstimator};
+use awsad_reach::{CacheConfig, DeadlineCache, DeadlineEstimator};
 use awsad_runtime::{DetectionEngine, EngineConfig, RuntimeMetrics, Tick, TickOutcome};
 use awsad_serve::client::Client;
 use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
@@ -89,26 +89,13 @@ fn tick_of(wire: &WireTick) -> Tick {
 
 /// Path 1 — direct stepping: record each tick, step the detector.
 /// With a non-empty `degraded` set, those ticks take
-/// [`AdaptiveDetector::step_degraded`] — the reference the engine's
-/// degrade path must reproduce.
+/// [`awsad_core::AdaptiveDetector::step_degraded`] — the reference the
+/// engine's degrade path must reproduce.
 pub fn direct_steps_with(
     scenario: &Scenario,
-    is_degraded: impl FnMut(usize) -> bool,
-) -> Vec<AdaptiveStep> {
-    let (logger, detector) = scenario.parts();
-    direct_steps_from(scenario, logger, detector, is_degraded)
-}
-
-/// Path 1 over caller-supplied parts: the same record/step walk, but
-/// on a logger/detector pair the caller may have modified (the batch
-/// oracle swaps in a quantized deadline cache to force the engine's
-/// scalar fallback — the reference must run the *same* detector).
-pub fn direct_steps_from(
-    scenario: &Scenario,
-    mut logger: DataLogger,
-    mut detector: AdaptiveDetector,
     mut is_degraded: impl FnMut(usize) -> bool,
 ) -> Vec<AdaptiveStep> {
+    let (mut logger, mut detector) = scenario.parts();
     scenario
         .trace
         .iter()
@@ -551,35 +538,15 @@ pub fn batch_degraded(scenario: &Scenario, i: usize) -> bool {
         .is_multiple_of(7)
 }
 
-/// Which chunk members the batch oracle rebuilds with a *quantized*
-/// deadline cache. Quantized caches are decision-relevant (their
-/// deadlines may be earlier than exact), so the engine refuses to
-/// batch them — these sessions must take the scalar fallback inside
-/// the mega-drain, and their reference stream is recomputed with the
-/// identical quantized detector.
-pub fn batch_forces_fallback(index: usize) -> bool {
-    index % 4 == 3
-}
-
-fn batch_parts(scenario: &Scenario, index: usize) -> (DataLogger, AdaptiveDetector) {
-    let (logger, mut detector) = scenario.parts();
-    if batch_forces_fallback(index) {
-        detector.set_deadline_cache(DeadlineCache::new(CacheConfig::quantized(0.5, 64)));
-    }
-    (logger, detector)
-}
-
 /// Path 8 — cross-session SoA batch stepping: the whole *chunk* of
 /// scenarios shares one engine running with `cross_session_batch`
 /// enabled, one session per scenario. Ticks are submitted
 /// round-robin (position `p` of every scenario before position `p+1`
 /// of any), so the mega-drain's gather keeps finding co-pending ticks
 /// across sessions and steps same-geometry sessions as vectorized
-/// lane groups. Sessions at [`batch_forces_fallback`] indices carry a
-/// quantized deadline cache and must route through the scalar
-/// fallback instead. Returns one step stream per scenario plus the
-/// engine's final metrics so callers can assert both paths actually
-/// ran.
+/// lane groups. Returns one step stream per scenario plus the
+/// engine's final metrics so callers can assert the batched path
+/// actually ran.
 pub fn batch_engine_steps(
     scenarios: &[Scenario],
 ) -> Result<(Vec<Vec<AdaptiveStep>>, RuntimeMetrics), OracleError> {
@@ -591,9 +558,8 @@ pub fn batch_engine_steps(
     });
     let sessions: Vec<_> = scenarios
         .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let (logger, detector) = batch_parts(s, i);
+        .map(|s| {
+            let (logger, detector) = s.parts();
             engine.add_session(logger, detector)
         })
         .collect();
@@ -626,43 +592,23 @@ pub fn batch_engine_steps(
 }
 
 /// Runs path 8 over a chunk of scenarios and asserts every session's
-/// stream bit-identical to direct stepping of the *same* detector
-/// (quantized-cache members included), and — via the engine's own
-/// counters — that the vectorized path and, when the chunk is large
-/// enough to contain a fallback member, the scalar fallback both
-/// actually executed.
+/// stream bit-identical to direct stepping, and — via the engine's own
+/// counters — that the vectorized path actually executed.
 pub fn check_batch_path(scenarios: &[Scenario]) -> Result<(), OracleError> {
     if scenarios.is_empty() {
         return Ok(());
     }
     let (streams, metrics) = batch_engine_steps(scenarios)?;
-    for (i, (scenario, got)) in scenarios.iter().zip(&streams).enumerate() {
-        let (logger, detector) = batch_parts(scenario, i);
-        let reference =
-            direct_steps_from(scenario, logger, detector, |p| batch_degraded(scenario, p));
+    for (scenario, got) in scenarios.iter().zip(&streams) {
+        let reference = direct_steps_with(scenario, |p| batch_degraded(scenario, p));
         diff_streams(scenario, "batch", got, &reference)?;
     }
-    let first = &scenarios[0];
-    let any_batched = scenarios
-        .iter()
-        .enumerate()
-        .any(|(i, s)| !batch_forces_fallback(i) && !s.trace.is_empty());
-    if any_batched && metrics.batch_ticks == 0 {
+    let any_ticks = scenarios.iter().any(|s| !s.trace.is_empty());
+    if any_ticks && metrics.batch_ticks == 0 {
         return Err(OracleError::new(
-            first,
+            &scenarios[0],
             "batch",
             "no tick took the vectorized path (batch_ticks == 0)",
-        ));
-    }
-    let any_fallback = scenarios
-        .iter()
-        .enumerate()
-        .any(|(i, s)| batch_forces_fallback(i) && !s.trace.is_empty());
-    if any_fallback && metrics.scalar_fallback_ticks == 0 {
-        return Err(OracleError::new(
-            first,
-            "batch",
-            "no quantized-cache session took the scalar fallback (scalar_fallback_ticks == 0)",
         ));
     }
     Ok(())
@@ -683,8 +629,8 @@ fn recal_boundary(scenario: &Scenario) -> usize {
 /// Path 9 reference — direct stepping with the scenario's
 /// recalibration applied in place at its precomputed boundary: ticks
 /// `0..at` step under the session's original model, then
-/// [`AdaptiveDetector::recalibrate`] swaps in the drifted plant, and
-/// ticks `at..` step under it. History, windows, and thresholds
+/// [`awsad_core::AdaptiveDetector::recalibrate`] swaps in the drifted
+/// plant, and ticks `at..` step under it. History, windows, and thresholds
 /// survive the swap; every other path must reproduce this stream
 /// bit for bit.
 pub fn direct_recalibrated_steps(scenario: &Scenario) -> Vec<AdaptiveStep> {
@@ -974,33 +920,16 @@ pub fn check_recalibrate_path(
     Ok(cluster.recoveries)
 }
 
-fn deadline_not_later(conservative: Deadline, exact: Deadline) -> bool {
-    match (conservative.steps(), exact.steps()) {
-        (None, None) => true,
-        (None, Some(_)) => false, // claims more time than the exact walk
-        (Some(_), None) => true,  // earlier than "beyond" is fine
-        (Some(c), Some(e)) => c <= e,
-    }
-}
-
 /// Estimator self-checks on the scenario's own trace states:
 ///
 /// * the precomputed-box walk ([`DeadlineEstimator::checked_deadline`])
 ///   equals the seed-formula [`DeadlineEstimator::reference_deadline`];
-/// * an exact [`DeadlineCache`] is transparent (same deadline on miss
-///   and on hit);
-/// * a quantized cache is conservative — never later than exact.
+/// * a [`DeadlineCache`] is transparent (same deadline on miss and on
+///   hit).
 pub fn check_estimator(scenario: &Scenario) -> Result<(), OracleError> {
     let estimator: DeadlineEstimator = scenario.estimator();
     let r0 = scenario.initial_radius;
     let mut exact_cache = DeadlineCache::new(CacheConfig::exact(256));
-    let quantum = scenario
-        .threshold
-        .as_slice()
-        .iter()
-        .fold(f64::MAX, |a, &b| a.min(b))
-        .max(1e-6);
-    let mut quant_cache = DeadlineCache::new(CacheConfig::quantized(quantum, 256));
     let fail = |detail: String| OracleError::new(scenario, "estimator", detail);
 
     for wire in scenario.trace.iter().take(16) {
@@ -1026,14 +955,6 @@ pub fn check_estimator(scenario: &Scenario) -> Result<(), OracleError> {
                     "exact cache {cached:?} != walk {walked:?} at {x:?}"
                 )));
             }
-        }
-        let quantized = quant_cache
-            .deadline(&estimator, &x, r0)
-            .map_err(|e| fail(format!("quantized cache: {e}")))?;
-        if !deadline_not_later(quantized, walked) {
-            return Err(fail(format!(
-                "quantized cache {quantized:?} is later than exact {walked:?} at {x:?}"
-            )));
         }
     }
     Ok(())

@@ -2,13 +2,14 @@
 //! registry scenarios in chunks of 8, each chunk sharing one engine
 //! in forced cross-session batch mode. Round-robin submission keeps
 //! ticks from many sessions co-pending, so the mega-drain steps
-//! same-geometry sessions as vectorized SoA lane groups; every fourth
-//! chunk member carries a quantized deadline cache the engine refuses
-//! to batch, so the scalar fallback inside the mega-drain stays
-//! exercised in the same run. Every session's `AdaptiveStep` stream —
-//! degraded ticks included — must be bit-identical to direct stepping
-//! of the identical detector, and the engine's own counters must
-//! prove both the vectorized path and the fallback actually ran.
+//! same-geometry sessions as vectorized SoA lane groups. Every
+//! session's `AdaptiveStep` stream — degraded ticks included — must be
+//! bit-identical to direct stepping, and the engine's own counters
+//! must prove the vectorized path actually ran. The batched step and
+//! `AdaptiveDetector::step` share their phases, so besides the
+//! engine's gather and scatter this diffs the two kernels they do not
+//! share: the batched reachability walk and the SoA window mean
+//! against their scalar twins.
 //!
 //! Every scenario that fails prints its seed string, so the repro is
 //! always `cargo run --release -p awsad-testkit --bin fuzz -- --repro
