@@ -1,11 +1,14 @@
 //! Cross-session batch-stepping throughput report and CI floor.
 //!
 //! Runs the same 64-session workload through the detection engine on a
-//! single worker in two legs: the scalar per-session drain (the
-//! baseline every earlier PR measured) and `cross_session_batch`,
-//! where the mega-drain gathers co-pending ticks from every session
-//! and steps them as one SoA lane group per trace position. The legs'
-//! reps alternate — scalar, batched, scalar, batched, … — so each
+//! single worker in two legs. Both run the engine's one drain, which
+//! gathers co-pending ticks from every session; only the grouping
+//! differs. The **ungrouped** leg (the engine default) steps each
+//! session as a group of its own on the scalar kernels — the baseline
+//! every earlier measurement used. The **grouped** leg sets
+//! `cross_session_batch`, so same-plant sessions form one group and
+//! each trace position steps as one SoA lane set. The legs' reps
+//! alternate — ungrouped, grouped, ungrouped, grouped, … — so each
 //! pair of reps sees the same host state, and the speedup is the
 //! median of the per-pair ratios: drift between two back-to-back legs
 //! can no longer move it. Emits `results/BENCH_batch.json` with every
@@ -15,7 +18,7 @@
 //! estimation dominating the per-tick budget. Each session runs an
 //! 8-dimensional stable plant with re-estimation every tick and a
 //! 128-step reachability horizon the trajectory never escapes, so
-//! every tick pays a full-horizon walk. Scalar stepping walks each
+//! every tick pays a full-horizon walk. Ungrouped stepping walks each
 //! session alone — 64 separate `A·x` chains per position, each
 //! faulting its own session's precomputed drift/spread tables through
 //! the cache; the batched walk advances all 64 lanes per horizon step
@@ -24,13 +27,13 @@
 //!
 //! Two properties are enforced *in the binary* so CI fails loudly:
 //!
-//! * **bit-identity** — every session's outcome stream from the batch
-//!   leg must equal the scalar leg's, step for step;
-//! * **the floor** — the median per-pair ratio of batched to scalar
+//! * **bit-identity** — every session's outcome stream from the grouped
+//!   leg must equal the ungrouped leg's, step for step;
+//! * **the floor** — the median per-pair ratio of grouped to ungrouped
 //!   throughput must be at least [`SPEEDUP_FLOOR`] at 64 sessions. The
 //!   floor is deliberately below the typical measured speedup so
 //!   scheduler noise does not flake CI, but far above 1.0 so a
-//!   regression that quietly serializes the batch path cannot land.
+//!   regression that quietly serializes the grouped path cannot land.
 
 use std::time::Instant;
 
@@ -46,10 +49,10 @@ use awsad_sets::BoxSet;
 const SESSIONS: usize = 64;
 /// Ticks per session per rep.
 const PER_SESSION: usize = 256;
-/// Alternating scalar/batched rep pairs; the gate reads the median of
-/// their ratios.
+/// Alternating ungrouped/grouped rep pairs; the gate reads the median
+/// of their ratios.
 const PAIRS: usize = 7;
-/// Minimum median batched/scalar throughput ratio before the binary
+/// Minimum median grouped/ungrouped throughput ratio before the binary
 /// panics.
 const SPEEDUP_FLOOR: f64 = 4.0;
 
@@ -115,7 +118,7 @@ fn run_rep(config: &EngineConfig, sys: &LtiSystem, trace: &[Tick]) -> RepReport 
         .collect();
     let start = Instant::now();
     // Round-robin: position p of every session is queued before
-    // position p+1 of any, so the batch leg's gather always finds
+    // position p+1 of any, so the grouped leg's gather always finds
     // co-pending same-geometry ticks to group into SoA lanes.
     for t in 0..PER_SESSION {
         let tick = &trace[t % trace.len()];
@@ -135,21 +138,25 @@ fn run_rep(config: &EngineConfig, sys: &LtiSystem, trace: &[Tick]) -> RepReport 
     }
 }
 
-/// Every batched rep's streams must equal the scalar reference,
+/// Every grouped rep's streams must equal the ungrouped reference,
 /// session by session, step for step, and the rep must actually have
 /// taken the vectorized path.
-fn assert_identical(scalar: &RepReport, batched: &RepReport) {
-    assert_eq!(scalar.streams.len(), batched.streams.len());
-    for (i, (s, b)) in scalar.streams.iter().zip(&batched.streams).enumerate() {
-        assert_eq!(s.len(), PER_SESSION, "session {i}: scalar stream truncated");
+fn assert_identical(ungrouped: &RepReport, grouped: &RepReport) {
+    assert_eq!(ungrouped.streams.len(), grouped.streams.len());
+    for (i, (u, g)) in ungrouped.streams.iter().zip(&grouped.streams).enumerate() {
         assert_eq!(
-            s, b,
-            "session {i}: batched stream diverged from scalar stepping"
+            u.len(),
+            PER_SESSION,
+            "session {i}: ungrouped stream truncated"
+        );
+        assert_eq!(
+            u, g,
+            "session {i}: grouped stream diverged from ungrouped stepping"
         );
     }
     assert!(
-        batched.metrics.batch_ticks > 0,
-        "batch leg never took the vectorized path"
+        grouped.metrics.batch_ticks > 0,
+        "grouped leg never took the vectorized path"
     );
 }
 
@@ -178,45 +185,45 @@ fn main() {
         })
         .collect();
 
-    let scalar_config = EngineConfig {
+    let ungrouped_config = EngineConfig {
         workers: 1,
         queue_capacity: 128,
         ..EngineConfig::default()
     };
-    let batched_config = EngineConfig {
+    let grouped_config = EngineConfig {
         cross_session_batch: true,
         drain_batch: 64,
-        ..scalar_config.clone()
+        ..ungrouped_config.clone()
     };
     let mut ratios = Vec::with_capacity(PAIRS);
-    let (mut scalar_best, mut batched_best) = (0.0f64, 0.0f64);
+    let (mut ungrouped_best, mut grouped_best) = (0.0f64, 0.0f64);
     let mut last = None;
     for _ in 0..PAIRS {
-        let scalar = run_rep(&scalar_config, &sys, &trace);
-        let batched = run_rep(&batched_config, &sys, &trace);
-        assert_identical(&scalar, &batched);
-        ratios.push(batched.rate / scalar.rate);
-        scalar_best = scalar_best.max(scalar.rate);
-        batched_best = batched_best.max(batched.rate);
-        last = Some((scalar, batched));
+        let ungrouped = run_rep(&ungrouped_config, &sys, &trace);
+        let grouped = run_rep(&grouped_config, &sys, &trace);
+        assert_identical(&ungrouped, &grouped);
+        ratios.push(grouped.rate / ungrouped.rate);
+        ungrouped_best = ungrouped_best.max(ungrouped.rate);
+        grouped_best = grouped_best.max(grouped.rate);
+        last = Some((ungrouped, grouped));
     }
-    let (scalar, batched) = last.expect("at least one pair");
+    let (ungrouped, grouped) = last.expect("at least one pair");
     let speedup = median(&ratios);
     println!(
-        "scalar   {scalar_best:>12.0} ticks/s best  (1 worker, {SESSIONS} sessions, detect mean {:.0} ns, log mean {:.0} ns)",
-        scalar.metrics.detect_latency.mean_ns(),
-        scalar.metrics.log_latency.mean_ns()
+        "ungrouped {ungrouped_best:>12.0} ticks/s best  (1 worker, {SESSIONS} sessions, detect mean {:.0} ns, log mean {:.0} ns)",
+        ungrouped.metrics.detect_latency.mean_ns(),
+        ungrouped.metrics.log_latency.mean_ns()
     );
     println!(
-        "batched  {batched_best:>12.0} ticks/s best  (batch_ticks={}, lane hwm={}, detect mean {:.0} ns, log mean {:.0} ns)",
-        batched.metrics.batch_ticks,
-        batched.metrics.batch_sessions_hwm,
-        batched.metrics.detect_latency.mean_ns(),
-        batched.metrics.log_latency.mean_ns()
+        "grouped   {grouped_best:>12.0} ticks/s best  (batch_ticks={}, lane hwm={}, detect mean {:.0} ns, log mean {:.0} ns)",
+        grouped.metrics.batch_ticks,
+        grouped.metrics.batch_sessions_hwm,
+        grouped.metrics.detect_latency.mean_ns(),
+        grouped.metrics.log_latency.mean_ns()
     );
     let shown: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
     println!(
-        "speedup  {speedup:>12.2}x  median of {PAIRS} alternating pairs [{}] (floor {SPEEDUP_FLOOR}x)",
+        "speedup   {speedup:>12.2}x  median of {PAIRS} alternating pairs [{}] (floor {SPEEDUP_FLOOR}x)",
         shown.join(", ")
     );
 
@@ -231,18 +238,18 @@ fn main() {
             Json::Int((SESSIONS * PER_SESSION) as u64),
         ),
         ("pairs".into(), Json::Int(PAIRS as u64)),
-        ("scalar_ticks_per_sec".into(), Json::Num(scalar_best)),
-        ("batched_ticks_per_sec".into(), Json::Num(batched_best)),
+        ("ungrouped_ticks_per_sec".into(), Json::Num(ungrouped_best)),
+        ("grouped_ticks_per_sec".into(), Json::Num(grouped_best)),
         (
             "pair_speedups".into(),
             Json::Arr(ratios.iter().map(|&r| Json::Num(r)).collect()),
         ),
         ("speedup".into(), Json::Num(speedup)),
         ("speedup_floor".into(), Json::Num(SPEEDUP_FLOOR)),
-        ("batch_ticks".into(), Json::Int(batched.metrics.batch_ticks)),
+        ("batch_ticks".into(), Json::Int(grouped.metrics.batch_ticks)),
         (
             "batch_sessions_hwm".into(),
-            Json::Int(batched.metrics.batch_sessions_hwm),
+            Json::Int(grouped.metrics.batch_sessions_hwm),
         ),
     ]);
     let path = write_json("BENCH_batch.json", &report);
@@ -250,7 +257,7 @@ fn main() {
 
     assert!(
         speedup >= SPEEDUP_FLOOR,
-        "median batched/scalar throughput ratio {speedup:.2}x is below the \
-         {SPEEDUP_FLOOR}x floor over the scalar single-core baseline"
+        "median grouped/ungrouped throughput ratio {speedup:.2}x is below the \
+         {SPEEDUP_FLOOR}x floor over the ungrouped single-core baseline"
     );
 }

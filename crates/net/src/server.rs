@@ -99,9 +99,10 @@ pub struct NetServerConfig {
     /// Protocol-level configuration: engine shape (applied **per
     /// shard**), frame size limit, per-connection session limit,
     /// server name, session TTL, frame deadline and replication sink.
-    /// Each shard steps ticks on its own thread, so of the engine
-    /// shape only `queue_capacity`, `backpressure` and `drain_batch`
-    /// apply; `workers` and `cross_session_batch` are ignored.
+    /// Each shard steps every `Tick` batch on its own thread, as a
+    /// group of that session alone, so of the engine shape only
+    /// `queue_capacity`, `backpressure` and `drain_batch` apply;
+    /// `workers` and `cross_session_batch` are ignored.
     pub base: ServerConfig,
     /// I/O shard count; `0` (the default) sizes to available
     /// parallelism, clamped to `1..=4`. A shard is one thread and

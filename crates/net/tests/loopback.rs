@@ -366,6 +366,75 @@ fn snapshot_restore_resumes_byte_identically() {
     server.shutdown();
 }
 
+/// Non-finite, overflowing, subnormal and signed-zero values, as in
+/// `crates/core/tests/hostile_numbers.rs`.
+const HOSTILE: [f64; 8] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MAX,
+    -f64::MAX,
+    1e300,
+    5e-324,
+    -0.0,
+];
+
+#[test]
+fn hostile_numbers_cross_tick_frames_and_a_snapshot_round_trip() {
+    // Each hostile value once as an estimate and once as an input,
+    // between the pinned trace's ordinary ticks, on a cached session.
+    // The stream through `Tick`/`TickOutcomes` frames, cut by a
+    // `SnapshotSession`/`RestoreSession` round trip while the retained
+    // window holds hostile entries, equals direct stepping.
+    let spec = SessionSpec {
+        cache_capacity: 32,
+        ..SessionSpec::model_defaults(2)
+    };
+    let mut trace = pinned_trace(100);
+    for (i, &v) in HOSTILE.iter().enumerate() {
+        trace[3 + 11 * i].estimate[0] = v;
+        trace[8 + 11 * i].input[0] = v;
+    }
+    let (mut logger, mut detector, _, _) =
+        awsad_serve::server::session_parts_for_spec(&spec).unwrap();
+    let want: Vec<AdaptiveStep> = trace
+        .iter()
+        .map(|t| {
+            logger.record(
+                awsad_linalg::Vector::from_slice(&t.estimate),
+                awsad_linalg::Vector::from_slice(&t.input),
+            );
+            detector.step(&logger)
+        })
+        .collect();
+
+    let server = NetServer::bind("127.0.0.1:0", two_shard_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // Right after the NaN input and the ±∞ estimates.
+    let cut = 8 + 11 * 2 + 1;
+    let session = client.open_session(&spec).unwrap();
+    let mut outcomes = Vec::new();
+    for request in trace[..cut].chunks(7) {
+        outcomes.extend(client.tick_batch(session.id, request).unwrap());
+    }
+    let state = client.snapshot_session(session.id).unwrap();
+    client.close_session(session.id).unwrap();
+    let resumed = client.restore_session(&spec, &state).unwrap();
+    for request in trace[cut..].chunks(7) {
+        outcomes.extend(client.tick_batch(resumed.id, request).unwrap());
+    }
+    for (i, o) in outcomes.iter().enumerate() {
+        assert_eq!(o.seq, i as u64, "seq discontinuity at {i}");
+    }
+    let got: Vec<AdaptiveStep> = outcomes.iter().map(|o| o.to_step()).collect();
+    assert_eq!(got, want);
+    assert!(
+        got.iter().any(|step| step.alarm()),
+        "a non-finite residual must alarm"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn reconnecting_client_survives_net_server_kill_and_restart() {
     let config = two_shard_config();

@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError, Weak};
 use std::time::Instant;
 
 use awsad_core::{
@@ -17,7 +17,7 @@ use crate::pool::WorkerPool;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
     /// Block the producer in [`SessionHandle::submit`] until the
-    /// session's worker drains a slot. Nothing is ever degraded; the
+    /// engine's drain takes a slot. Nothing is ever degraded; the
     /// producer's own rate is throttled.
     #[default]
     Block,
@@ -43,21 +43,29 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// What to do when a session queue is full.
     pub backpressure: BackpressurePolicy,
-    /// How many queued ticks one drain cycle pops and processes per
-    /// session under a single state-lock acquisition (clamped to ≥ 1).
-    /// Bounds both the lock hold time and the size of the coalesced
-    /// deadline-cache prewarm (scalar mode) or the per-session share
-    /// of a cross-session batch (batch mode).
+    /// How many queued ticks the drain claims from one session per
+    /// gather (clamped to ≥ 1), and the chunk size in which
+    /// [`SessionHandle::step_batch`] steps a batch. Bounds how long a
+    /// session stays claimed, the size of an ungrouped session's
+    /// coalesced deadline-cache prewarm, and a session's share of a
+    /// grouped round.
     pub drain_batch: usize,
-    /// Opt into the cross-session batched drain: instead of one drain
-    /// job per session, a single mega-drain gathers waiting ticks from
-    /// *every* session, groups sessions whose detectors share a plant
-    /// model and window geometry, and steps each group through
-    /// [`awsad_core::BatchPlan`] — structure-of-arrays kernels that
-    /// amortize the reachability walk and window means across lanes.
-    /// Every session batches; degraded ticks are stepped by
-    /// [`AdaptiveDetector::step_degraded`] beside their group.
-    /// Outcomes are bit-identical to the per-session path either way.
+    /// Chooses how the drain groups the sessions it gathers. The rest
+    /// of the drain is the same either way, and outcomes are
+    /// bit-identical:
+    ///
+    /// * off (the default): each session is a group of its own; its
+    ///   claimed ticks prewarm its deadline cache with one batched
+    ///   walk, then step one by one through [`AdaptiveDetector::step`];
+    /// * on: sessions whose detectors share a plant model and window
+    ///   geometry form one group, and each tick position of the group
+    ///   steps through one [`awsad_core::BatchPlan`] call —
+    ///   structure-of-arrays kernels that amortize the reachability
+    ///   walk and window means across lanes.
+    ///
+    /// Degraded ticks step through [`AdaptiveDetector::step_degraded`]
+    /// either way, and [`SessionHandle::step_batch`] always steps its
+    /// batch as a group of its own.
     pub cross_session_batch: bool,
 }
 
@@ -172,10 +180,13 @@ struct QueuedTick {
 
 struct Inbox {
     ticks: VecDeque<QueuedTick>,
-    /// Whether a drain job for this session is queued or running on
-    /// the pool. At most one at a time — this is what serializes a
-    /// session's ticks (per-session FIFO) while different sessions
-    /// drain concurrently.
+    /// Whether the session is claimed: the drain has gathered ticks
+    /// from it that are not stepped yet, or a
+    /// [`SessionHandle::step_batch`] call is stepping it. The gather
+    /// skips a claimed session, so one thread at a time steps it —
+    /// this is what serializes a session's ticks (per-session FIFO)
+    /// while different sessions step concurrently. Snapshots and
+    /// recalibrations wait for the claim to clear.
     scheduled: bool,
     closed: bool,
     next_seq: u64,
@@ -183,6 +194,13 @@ struct Inbox {
     /// [`SessionSnapshot::generation`]); seeded from the restoring
     /// snapshot so the lineage's counter survives migration.
     generation: u64,
+    /// The session itself, held while ticks are queued. The registry
+    /// holds sessions weakly, so without it a handle dropped with
+    /// ticks queued would free the session, and the ticks, before the
+    /// drain gathered them. Set by every push; cleared by whoever
+    /// empties the queue while holding a reference of its own. The
+    /// cycle is the slot's with itself and lasts only while ticks wait.
+    keepalive: Option<Arc<SessionSlot>>,
 }
 
 struct SessionState {
@@ -195,19 +213,19 @@ struct SessionSlot {
     id: SessionId,
     engine: Arc<EngineShared>,
     inbox: Mutex<Inbox>,
-    /// Signalled when a queue slot frees up (Block producers wait) and
-    /// on close.
+    /// Signalled when a queue slot frees up (Block producers wait), on
+    /// close, and when a claim is released.
     space: Condvar,
     state: Mutex<SessionState>,
-    /// Batch-grouping key (batch mode only; `0` otherwise): sessions
-    /// with equal keys share an estimator walk fingerprint, seeding
-    /// radius and window clamp range, so the mega-drain may step them
-    /// through one [`BatchPlan`] group. Behind a mutex because a
-    /// mid-stream recalibration swaps the estimator fingerprint; it is
-    /// only written while the session is quiescent and unclaimed
-    /// (inbox lock held, queue empty, `scheduled` false), and the
-    /// mega-drain reads it only after claiming the session, so a read
-    /// taken under either discipline is stable for the whole drain.
+    /// Grouping key on a grouped engine (`0` on an ungrouped one,
+    /// whose drain groups by session id): sessions with equal keys
+    /// share an estimator walk fingerprint, seeding radius and window
+    /// clamp range, so the drain may step them as one [`BatchPlan`]
+    /// group. Behind a mutex because a mid-stream recalibration swaps
+    /// the estimator fingerprint; it is only written while the session
+    /// is quiescent and unclaimed (inbox lock held, queue empty,
+    /// `scheduled` false), and the gather reads it while claiming the
+    /// session, so the copy stays valid for the whole round.
     batch_key: Mutex<u64>,
     /// Set when a panic escaped this session's detector or logger
     /// (e.g. a wrong-dimension tick tripping [`DataLogger::record`]'s
@@ -218,30 +236,6 @@ struct SessionSlot {
     failed: AtomicBool,
 }
 
-impl Drop for SessionSlot {
-    fn drop(&mut self) {
-        // In batch mode the registry holds only weak references, so a
-        // handle dropped with ticks still queued can take the slot —
-        // and the ticks — down before any drain claims them. Refund
-        // the pending count so `DetectionEngine::drain` still
-        // terminates (the ticks are gone; their outcomes channel died
-        // with the handle anyway).
-        let leftover = self
-            .inbox
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .ticks
-            .len() as u64;
-        if leftover > 0 {
-            let mut pending = lock_recover(&self.engine.pending);
-            *pending = pending.saturating_sub(leftover);
-            if *pending == 0 {
-                self.engine.idle.notify_all();
-            }
-        }
-    }
-}
-
 struct EngineShared {
     config: EngineConfig,
     metrics: MetricsInner,
@@ -250,14 +244,14 @@ struct EngineShared {
     pending: Mutex<u64>,
     idle: Condvar,
     next_id: Mutex<u64>,
-    /// Batch mode only: every session ever added, for the mega-drain's
-    /// gather pass. Weak so closed-and-dropped sessions don't leak
-    /// (dead entries are pruned on each gather).
+    /// Every session of the engine, for the drain's gather. Weak, so a
+    /// closed session is freed once its handle is gone and its queue
+    /// is empty (a session with queued ticks holds itself; see
+    /// `Inbox::keepalive`). Dead entries are pruned by each gather and
+    /// whenever registering a session would grow the list.
     sessions: Mutex<Vec<Weak<SessionSlot>>>,
-    /// Batch mode only: whether a mega-drain job is queued or running.
-    /// At most one at a time — it is the cross-session analogue of
-    /// `Inbox::scheduled`.
-    batch_scheduled: Mutex<bool>,
+    /// Whether the drain is queued or running. At most one at a time.
+    drain_scheduled: Mutex<bool>,
 }
 
 /// An online multi-session detection engine.
@@ -265,11 +259,13 @@ struct EngineShared {
 /// Each **session** owns one plant instance's detection state — a
 /// [`DataLogger`] plus an [`AdaptiveDetector`] (optionally with a
 /// deadline cache installed) — and receives measurement [`Tick`]s
-/// through a bounded queue. A fixed [`WorkerPool`] shared by all
-/// sessions drains the queues (an engine built
+/// through a bounded queue. One drain steps them: it gathers queued
+/// ticks from every session, groups the sessions (see
+/// [`EngineConfig::cross_session_batch`]) and steps the groups on a
+/// fixed [`WorkerPool`] shared by all sessions (an engine built
 /// [`without_pool`](DetectionEngine::without_pool) drains on the
 /// submitting thread, or steps batches where they arrive through
-/// [`SessionHandle::step_batch`]): sessions are independent and process
+/// [`SessionHandle::step_batch`]). Sessions are independent and process
 /// concurrently, while ticks *within* a session are strictly
 /// serialized in submission order, so every session produces exactly
 /// the [`AdaptiveStep`] sequence the detector would produce standalone.
@@ -347,7 +343,7 @@ impl DetectionEngine {
     /// own ([`EngineConfig::workers`] is ignored). It is built for
     /// callers that step each batch where it arrives, through
     /// [`SessionHandle::step_batch`]; [`SessionHandle::submit`] still
-    /// works, and drains the session on the submitting thread before
+    /// works, and drains the engine on the submitting thread before
     /// it returns.
     pub fn without_pool(config: EngineConfig) -> Self {
         Self::with_pool(config, None)
@@ -368,7 +364,7 @@ impl DetectionEngine {
                 idle: Condvar::new(),
                 next_id: Mutex::new(0),
                 sessions: Mutex::new(Vec::new()),
-                batch_scheduled: Mutex::new(false),
+                drain_scheduled: Mutex::new(false),
             }),
         }
     }
@@ -450,6 +446,7 @@ impl DetectionEngine {
                 closed: false,
                 next_seq,
                 generation,
+                keepalive: None,
             }),
             space: Condvar::new(),
             state: Mutex::new(SessionState {
@@ -460,8 +457,15 @@ impl DetectionEngine {
             batch_key: Mutex::new(batch_key),
             failed: AtomicBool::new(false),
         });
-        if self.shared.config.cross_session_batch {
-            lock_recover(&self.shared.sessions).push(Arc::downgrade(&slot));
+        {
+            let mut registry = lock_recover(&self.shared.sessions);
+            // Prune before the list would grow, so an engine that opens
+            // and closes sessions without ever draining (one that only
+            // steps batches) keeps it bounded.
+            if registry.len() == registry.capacity() {
+                registry.retain(|weak| weak.strong_count() > 0);
+            }
+            registry.push(Arc::downgrade(&slot));
         }
         self.shared
             .metrics
@@ -587,6 +591,36 @@ impl SessionHandle {
                 degraded = inbox.ticks.len() >= capacity;
             }
         }
+        self.enqueue(inbox, degraded, tick);
+        Ok(())
+    }
+
+    /// Submits one tick pre-flagged for the degraded path, bypassing
+    /// queue-capacity accounting.
+    ///
+    /// Whether a given tick lands over capacity under
+    /// [`BackpressurePolicy::Degrade`] depends on drain timing, which
+    /// makes organic overload inherently racy. Tests and differential
+    /// harnesses that need a *deterministic* degrade pattern use this
+    /// to force exactly which ticks take the degraded path; the
+    /// resulting outcome stream is the one an overloaded run would
+    /// produce for that same pattern.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::SessionClosed`] after [`SessionHandle::close`].
+    pub fn submit_degraded(&self, tick: Tick) -> Result<(), SubmitError> {
+        let inbox = lock_recover(&self.slot.inbox);
+        if inbox.closed {
+            return Err(SubmitError::SessionClosed);
+        }
+        self.enqueue(inbox, true, tick);
+        Ok(())
+    }
+
+    /// Queues one accepted tick on the open inbox and rings the drain.
+    fn enqueue(&self, mut inbox: MutexGuard<'_, Inbox>, degraded: bool, tick: Tick) {
+        let engine = &self.slot.engine;
         let seq = inbox.next_seq;
         inbox.next_seq += 1;
         // The pending count must rise before the tick becomes visible
@@ -609,51 +643,11 @@ impl SessionHandle {
             degraded,
             tick,
         });
-        self.schedule_drain(inbox);
-        Ok(())
-    }
-
-    /// Submits one tick pre-flagged for the degraded path, bypassing
-    /// queue-capacity accounting.
-    ///
-    /// Whether a given tick lands over capacity under
-    /// [`BackpressurePolicy::Degrade`] depends on drain timing, which
-    /// makes organic overload inherently racy. Tests and differential
-    /// harnesses that need a *deterministic* degrade pattern use this
-    /// to force exactly which ticks take the degraded path; the
-    /// resulting outcome stream is the one an overloaded run would
-    /// produce for that same pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::SessionClosed`] after [`SessionHandle::close`].
-    pub fn submit_degraded(&self, tick: Tick) -> Result<(), SubmitError> {
-        let engine = &self.slot.engine;
-        let mut inbox = lock_recover(&self.slot.inbox);
-        if inbox.closed {
-            return Err(SubmitError::SessionClosed);
+        if inbox.keepalive.is_none() {
+            inbox.keepalive = Some(Arc::clone(&self.slot));
         }
-        let seq = inbox.next_seq;
-        inbox.next_seq += 1;
-        {
-            let mut pending = lock_recover(&engine.pending);
-            *pending += 1;
-            engine
-                .metrics
-                .queue_depth_high_water
-                .fetch_max(*pending, Ordering::Relaxed);
-        }
-        engine
-            .metrics
-            .ticks_submitted
-            .fetch_add(1, Ordering::Relaxed);
-        inbox.ticks.push_back(QueuedTick {
-            seq,
-            degraded: true,
-            tick,
-        });
-        self.schedule_drain(inbox);
-        Ok(())
+        drop(inbox);
+        self.schedule_drain();
     }
 
     /// Steps a batch of this session's ticks on the calling thread and
@@ -662,12 +656,14 @@ impl SessionHandle {
     /// it (the `awsad-net` server). No queue, channel or worker is
     /// involved.
     ///
-    /// The ticks take the pool drain's own scalar path: in chunks of
-    /// [`EngineConfig::drain_batch`] (each chunk prewarms the deadline
-    /// cache with one batched walk), logged, then stepped. The batch
-    /// stands in for the session queue, so under
-    /// [`BackpressurePolicy::Degrade`] tick `i` takes the degraded step
-    /// exactly when `i >= queue_capacity`; under
+    /// The batch steps through the drain's own group step, as a group
+    /// of this session alone, whatever
+    /// [`EngineConfig::cross_session_batch`] says: in chunks of
+    /// [`EngineConfig::drain_batch`] ticks, each of which prewarms the
+    /// deadline cache with one batched walk and then steps tick by
+    /// tick on the scalar kernels. The batch stands in for the session
+    /// queue, so under [`BackpressurePolicy::Degrade`] tick `i` takes
+    /// the degraded step exactly when `i >= queue_capacity`; under
     /// [`BackpressurePolicy::Block`] none does — the caller steps
     /// before it reads more, which is its backpressure. Every
     /// [`RuntimeMetrics`] counter moves as it does for submitted ticks,
@@ -677,7 +673,7 @@ impl SessionHandle {
     /// processed first (the call waits for them, as
     /// [`SessionHandle::snapshot`] does), so `seq` numbering stays one
     /// FIFO. A panic inside the logger or detector fails the session
-    /// exactly as in a pool drain: the outcomes stop before the
+    /// exactly as in the drain: the outcomes stop before the
     /// panicking tick, so the result is then shorter than the batch.
     ///
     /// # Errors
@@ -700,8 +696,8 @@ impl SessionHandle {
             if inbox.closed {
                 return Err(SubmitError::SessionClosed);
             }
-            // Claim the session as a drain does, so no pool drain or
-            // snapshot runs while it steps here.
+            // Claim the session as the drain does, so no gather or
+            // snapshot touches it while it steps here.
             inbox.scheduled = true;
             inbox.next_seq += n as u64;
             inbox.next_seq - n as u64
@@ -717,87 +713,58 @@ impl SessionHandle {
             BackpressurePolicy::Degrade => config.queue_capacity,
         };
         let mut outcomes = Vec::with_capacity(n);
-        let mut chunk = Vec::with_capacity(config.drain_batch.min(n));
-        let mut state = lock_recover(&self.slot.state);
-        let SessionState {
-            logger, detector, ..
-        } = &mut *state;
+        let mut group = [(
+            Arc::clone(&self.slot),
+            Vec::with_capacity(config.drain_batch.min(n)),
+        )];
         let mut ticks = ticks.take(n).enumerate().peekable();
         while let Some((i, tick)) = ticks.next() {
+            let chunk = &mut group[0].1;
             chunk.push(QueuedTick {
                 seq: first_seq + i as u64,
                 degraded: i >= degrade_from,
                 tick,
             });
             if chunk.len() == config.drain_batch || ticks.peek().is_none() {
-                process_batch_scalar(&self.slot, logger, detector, &mut chunk, |outcome| {
+                process_group(engine, None, &mut group, |_, outcome| {
                     outcomes.push(outcome)
                 });
                 // A contained panic failed the session: the rest of
-                // the batch is dropped, as a pool drain drops a failed
+                // the batch is dropped, as the drain drops a failed
                 // session's queue.
                 if self.slot.failed.load(Ordering::Relaxed) {
                     break;
                 }
             }
         }
-        drop(state);
-
-        let mut inbox = lock_recover(&self.slot.inbox);
-        inbox.scheduled = false;
-        if inbox.ticks.is_empty() {
-            drop(inbox);
-        } else {
-            // A submit landed while the session was claimed and found
-            // it scheduled; start the drain it could not.
-            self.schedule_drain(inbox);
-        }
-        self.slot.space.notify_all();
+        // A submit that landed meanwhile rang the drain, which waits
+        // for this claim to clear.
+        release(&self.slot);
         Ok(outcomes)
     }
 
-    /// Queues whatever drain the engine mode calls for after a push:
-    /// scalar mode schedules this session's own drain (serialized by
-    /// `Inbox::scheduled`), batch mode rings the engine-wide
-    /// mega-drain (serialized by `EngineShared::batch_scheduled` —
-    /// per-session `scheduled` is left alone; the mega-drain uses it
-    /// as its claim marker during gather).
-    ///
-    /// Without a pool the drain runs right here, on the submitting
-    /// thread, before `submit` returns.
-    fn schedule_drain(&self, mut inbox: std::sync::MutexGuard<'_, Inbox>) {
+    /// Rings the engine's drain after a push: queues it on the pool,
+    /// or, when the engine has no pool, runs it right here, on the
+    /// submitting thread, before `submit` returns. At most one drain
+    /// is queued or running (`EngineShared::drain_scheduled`); a push
+    /// that finds one leaves its tick to it.
+    fn schedule_drain(&self) {
         let engine = &self.slot.engine;
-        if engine.config.cross_session_batch {
-            drop(inbox);
-            let mut scheduled = lock_recover(&engine.batch_scheduled);
+        {
+            let mut scheduled = lock_recover(&engine.drain_scheduled);
             if *scheduled {
                 return;
             }
-            *scheduled = true;
             // Released before an inline drain, which retakes it to
             // retire.
-            drop(scheduled);
-            let shared = Arc::clone(engine);
-            match &self.pool {
-                Some(pool) => {
-                    let pool2 = Arc::clone(pool);
-                    pool.execute(move || mega_drain(&shared, Some(&pool2)));
-                }
-                None => mega_drain(&shared, None),
+            *scheduled = true;
+        }
+        match &self.pool {
+            Some(pool) => {
+                let (shared, pool2) = (Arc::clone(engine), Arc::clone(pool));
+                pool.execute(move || drain(&shared, Some(&pool2)));
             }
-        } else {
-            let schedule = !inbox.scheduled;
-            inbox.scheduled = true;
-            drop(inbox);
-            if schedule {
-                match &self.pool {
-                    Some(pool) => {
-                        let slot = Arc::clone(&self.slot);
-                        pool.execute(move || drain_session(&slot));
-                    }
-                    None => drain_session(&self.slot),
-                }
-            }
+            None => drain(engine, None),
         }
     }
 
@@ -833,11 +800,10 @@ impl SessionHandle {
         while !inbox.ticks.is_empty() || inbox.scheduled {
             inbox = wait_recover(&self.slot.space, inbox);
         }
-        // No drain can be running (scheduled is false) and none can
-        // start (that requires the inbox lock we hold), so the state
-        // lock is immediately available and the lock order here
-        // (inbox → state) cannot deadlock against drain_session's
-        // state → inbox.
+        // Nothing steps the session (it is unclaimed) and nothing can
+        // claim it (that requires the inbox lock we hold). The gather
+        // only ever `try_lock`s the state, so this lock order
+        // (inbox → state) cannot deadlock.
         let state = lock_recover(&self.slot.state);
         inbox.generation += 1;
         SessionSnapshot {
@@ -874,9 +840,7 @@ impl SessionHandle {
             }
             inbox
         };
-        // Same lock order and reasoning as `snapshot`: no drain is
-        // running or can start while we hold the inbox lock, so the
-        // state lock is immediately available and deadlock-free.
+        // Same lock order and reasoning as `snapshot`.
         let mut state = lock_recover(&self.slot.state);
         let SessionState {
             logger, detector, ..
@@ -937,183 +901,399 @@ fn batch_key_of(detector: &AdaptiveDetector) -> u64 {
     h
 }
 
-/// Drains one session's inbox on a pool worker (scalar mode). At most
-/// one instance per session runs at a time (guarded by
-/// `Inbox::scheduled`), so outcomes leave in submission order.
+/// One claimed session of a group: the session and its claimed ticks,
+/// in queue order.
+type Claimed = (Arc<SessionSlot>, Vec<QueuedTick>);
+
+/// The engine's drain. At most one runs at a time (guarded by
+/// `EngineShared::drain_scheduled`): on a pool worker, or on the
+/// submitting thread of an engine without a pool.
 ///
-/// Ticks are popped and processed in batches of up to
-/// [`EngineConfig::drain_batch`]: the session state lock is taken
-/// *first* and the inbox popped under it, so a stalled session stalls
-/// the pop too (queued ticks keep counting against the queue capacity
-/// until the session can actually run).
-fn drain_session(slot: &SessionSlot) {
-    let drain_batch = slot.engine.config.drain_batch;
-    let mut batch: Vec<QueuedTick> = Vec::with_capacity(drain_batch);
+/// Each round it **gathers** (see [`gather`]) up to
+/// [`EngineConfig::drain_batch`] queued ticks from every session it
+/// can claim, grouped, and **scatters** the groups: the gathering
+/// thread and up to `workers − 1` helpers it queues on the pool take
+/// groups from the round until none is left, so every worker steps and
+/// progress never depends on a helper starting. A round ends when its
+/// last group is stepped. The drain retires when a gather finds
+/// nothing and no tick is pending.
+fn drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
+    let mut plan = BatchPlan::new();
     loop {
-        let mut state = lock_recover(&slot.state);
-        batch.clear();
-        {
-            let mut inbox = lock_recover(&slot.inbox);
-            while batch.len() < drain_batch {
-                match inbox.ticks.pop_front() {
-                    Some(t) => batch.push(t),
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                inbox.scheduled = false;
-                drop(inbox);
-                // Snapshot takers wait for the quiescent state this
-                // transition just established.
-                slot.space.notify_all();
+        let groups = gather(shared);
+        if groups.is_empty() {
+            // A tick is queued only after the pending count rises
+            // (both under its session's inbox lock), so pending == 0
+            // here proves no session holds unclaimed work and the
+            // drain may retire. pending > 0 with an empty gather means
+            // a submit is mid-flight, or every session with ticks is
+            // claimed by a `step_batch` call or stalled behind a held
+            // state lock — yield until that passes. Holding the
+            // drain_scheduled lock across the check closes the race
+            // with a submit that just pushed: either it finds the flag
+            // still set (we saw its pending rise and loop again), or
+            // we retired first and its schedule attempt starts a fresh
+            // drain.
+            let mut scheduled = lock_recover(&shared.drain_scheduled);
+            if *lock_recover(&shared.pending) == 0 {
+                *scheduled = false;
                 return;
             }
+            drop(scheduled);
+            std::thread::yield_now();
+            continue;
         }
-        // Slots freed up: wake every blocked producer (a whole batch
-        // of capacity may have opened at once).
-        slot.space.notify_all();
-
-        let engine = &slot.engine;
-        let processed = state.process_queued(slot, &mut batch);
-        drop(state);
-
-        let mut pending = lock_recover(&engine.pending);
-        *pending -= processed;
-        if *pending == 0 {
-            engine.idle.notify_all();
+        let n_groups = groups.len();
+        let round = Arc::new(Round {
+            groups: Mutex::new(groups),
+            unfinished: Mutex::new(n_groups),
+            done: Condvar::new(),
+        });
+        if let Some(pool) = pool {
+            // One helper per other worker, and no more than there are
+            // other groups.
+            for _ in 1..pool.workers().min(n_groups) {
+                let (shared, round) = (Arc::clone(shared), Arc::clone(&round));
+                pool.execute(move || round.step(&shared, &mut BatchPlan::new()));
+            }
+        }
+        round.step(shared, &mut plan);
+        let mut unfinished = lock_recover(&round.unfinished);
+        while *unfinished > 0 {
+            unfinished = wait_recover(&round.done, unfinished);
         }
     }
 }
 
-impl SessionState {
-    /// [`process_batch_scalar`] with every outcome sent down the
-    /// session's channel — the pool drains' way out.
-    fn process_queued(&mut self, slot: &SessionSlot, batch: &mut Vec<QueuedTick>) -> u64 {
-        let SessionState {
-            logger,
-            detector,
-            outcomes,
-        } = self;
-        process_batch_scalar(slot, logger, detector, batch, |outcome| {
-            // The receiver may be gone (caller only wanted metrics).
-            let _ = outcomes.send(outcome);
-        })
-    }
+/// One gather round's groups, shared by the gathering thread and the
+/// helpers it queues on the pool.
+struct Round {
+    /// Groups no thread has taken yet.
+    groups: Mutex<Vec<Vec<Claimed>>>,
+    /// Groups not stepped to the end yet; the gathering thread waits
+    /// for zero.
+    unfinished: Mutex<usize>,
+    done: Condvar,
 }
 
-/// Steps one session through an already-popped batch of its ticks on
-/// the scalar path — the common core of the per-session drain and
-/// [`SessionHandle::step_batch`]. Hands each outcome to `emit`, in
-/// order. Updates every metric except `ticks_submitted` and the
-/// pending count (the callers own those, at different
-/// granularities). Returns the number of ticks processed.
-///
-/// When the batch carries more than one tick and the detector has a
-/// deadline cache, the batch's estimates are prewarmed with one
-/// batched reachability walk before the per-tick steps — coalescing
-/// what would otherwise be per-tick cache-miss walks. Prewarmed
-/// entries are bit-identical to miss-path entries, so outcomes are
-/// unchanged.
-fn process_batch_scalar(
-    slot: &SessionSlot,
-    logger: &mut DataLogger,
-    detector: &mut AdaptiveDetector,
-    batch: &mut Vec<QueuedTick>,
-    mut emit: impl FnMut(TickOutcome),
-) -> u64 {
-    let engine = &slot.engine;
-
-    if batch.len() > 1 && detector.has_deadline_cache() {
-        let estimates: Vec<&Vector> = batch
-            .iter()
-            .filter(|q| !q.degraded)
-            .map(|q| &q.tick.estimate)
-            .collect();
-        if !estimates.is_empty() {
-            let inserted = detector.prewarm_deadline_cache(&estimates);
-            if inserted > 0 {
-                engine
-                    .metrics
-                    .batched_deadline_queries
-                    .fetch_add(inserted as u64, Ordering::Relaxed);
+impl Round {
+    /// Takes and steps groups until none is left. Each group's claims
+    /// are released, and its ticks leave the pending count, as soon as
+    /// it is stepped.
+    fn step(&self, shared: &EngineShared, plan: &mut BatchPlan) {
+        let grouped = shared.config.cross_session_batch;
+        loop {
+            let next = lock_recover(&self.groups).pop();
+            let Some(mut group) = next else {
+                return;
+            };
+            let ticks = group.iter().map(|(_, ticks)| ticks.len() as u64).sum();
+            process_group(
+                shared,
+                grouped.then_some(&mut *plan),
+                &mut group,
+                |state, outcome| {
+                    // The receiver may be gone (caller only wanted metrics).
+                    let _ = state.outcomes.send(outcome);
+                },
+            );
+            for (slot, _) in &group {
+                release(slot);
+            }
+            retire(shared, ticks);
+            let mut unfinished = lock_recover(&self.unfinished);
+            *unfinished -= 1;
+            if *unfinished == 0 {
+                self.done.notify_all();
             }
         }
     }
+}
 
-    let processed = batch.len() as u64;
-    let mut degraded_ticks = 0u64;
-    let mut alarms = 0u64;
-    let mut alloc_free = 0u64;
-    for queued in batch.drain(..) {
-        // A session that panicked earlier in this very batch is
-        // failed: its remaining ticks are consumed without stepping
-        // (they still count as processed for the pending count).
-        if slot.failed.load(Ordering::Relaxed) {
+/// Claims up to `drain_batch` queued ticks from every unclaimed
+/// session whose state lock is free, and groups the claimed sessions
+/// by key: the batch key on a grouped engine, the session id
+/// otherwise.
+fn gather(shared: &EngineShared) -> Vec<Vec<Claimed>> {
+    let config = &shared.config;
+    let slots: Vec<Arc<SessionSlot>> = {
+        let mut registry = lock_recover(&shared.sessions);
+        registry.retain(|weak| weak.strong_count() > 0);
+        registry.iter().filter_map(Weak::upgrade).collect()
+    };
+    let mut claimed: Vec<(u64, Claimed)> = Vec::new();
+    for slot in slots {
+        let mut inbox = lock_recover(&slot.inbox);
+        if inbox.scheduled || inbox.ticks.is_empty() {
             continue;
         }
-        let t0 = Instant::now();
-        // Contain a panicking step to this session: the logger assert
-        // on a wrong-dimension tick (or any panic inside the detector)
-        // must not unwind through the drain — that would poison the
-        // engine's locks and cascade the panic into every other
-        // session's submit. Catch it, fail this session, move on.
-        let stepped = catch_unwind(AssertUnwindSafe(|| {
-            logger.record(queued.tick.estimate, queued.tick.input);
-            let t1 = Instant::now();
-            let step = if queued.degraded {
-                detector.step_degraded(logger)
-            } else {
-                detector.step(logger)
-            };
-            (step, t1)
-        }));
-        let Ok((step, t1)) = stepped else {
-            fail_session(slot);
-            continue;
+        // Pop only while the session's state lock is free, so a
+        // stalled session keeps its queue and its producers keep
+        // feeling the pressure; the drain comes back for it.
+        let state = match slot.state.try_lock() {
+            Ok(state) => state,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => continue,
         };
+        let take = inbox.ticks.len().min(config.drain_batch);
+        let ticks: Vec<QueuedTick> = inbox.ticks.drain(..take).collect();
+        drop(state);
+        inbox.scheduled = true;
+        if inbox.ticks.is_empty() {
+            // `slot` holds the session from here on.
+            inbox.keepalive = None;
+        }
+        let key = if config.cross_session_batch {
+            *lock_recover(&slot.batch_key)
+        } else {
+            slot.id.0
+        };
+        drop(inbox);
+        // Queue slots freed: wake blocked producers.
+        slot.space.notify_all();
+        claimed.push((key, (slot, ticks)));
+    }
+    claimed.sort_by_key(|(key, _)| *key);
+    let mut groups: Vec<Vec<Claimed>> = Vec::new();
+    let mut prev_key = None;
+    for (key, member) in claimed {
+        if prev_key != Some(key) {
+            groups.push(Vec::new());
+            prev_key = Some(key);
+        }
+        groups.last_mut().expect("just pushed").push(member);
+    }
+    groups
+}
+
+/// Releases a claim: snapshot takers, `step_batch` callers and blocked
+/// producers re-check their conditions.
+fn release(slot: &SessionSlot) {
+    lock_recover(&slot.inbox).scheduled = false;
+    slot.space.notify_all();
+}
+
+/// Takes `ticks` processed or dropped ticks off the pending count,
+/// waking [`DetectionEngine::drain`] callers when it reaches zero.
+fn retire(shared: &EngineShared, ticks: u64) {
+    let mut pending = lock_recover(&shared.pending);
+    *pending -= ticks;
+    if *pending == 0 {
+        shared.idle.notify_all();
+    }
+}
+
+/// Steps one claimed group — the engine's only per-tick loop, run by
+/// the drain for every group it gathers and by
+/// [`SessionHandle::step_batch`] for each chunk of its batch. Drains
+/// every member's claimed ticks and hands each outcome, with its
+/// session's state, to `emit`, in `seq` order per session. Updates
+/// every metric except `ticks_submitted` and the pending count (the
+/// callers own those). The caller holds every member's claim.
+///
+/// Members step position by position: tick 0 of every member, then
+/// tick 1, and so on, so a member contributes at most one tick per
+/// position, in queue order. `plan` chooses the kernels. With one (a
+/// grouped drain), the non-degraded ticks of a position step as the
+/// lanes of one [`BatchPlan::step_group`] call. Without one (an
+/// ungrouped drain's one-session groups and `step_batch` chunks), each
+/// member first prewarms its deadline cache (see [`prewarm`]), then
+/// steps tick by tick through [`AdaptiveDetector::step`]. Degraded
+/// ticks step through [`AdaptiveDetector::step_degraded`] either way.
+///
+/// A panic in a member's record or scalar step fails that member's
+/// session: its outcomes stop and its remaining ticks are consumed
+/// without stepping, while the other members keep stepping.
+///
+/// All member state locks are held for the whole group (every member
+/// is claimed, so the only other state-lock takers — cache stats —
+/// briefly wait).
+fn process_group(
+    shared: &EngineShared,
+    mut plan: Option<&mut BatchPlan>,
+    group: &mut [Claimed],
+    mut emit: impl FnMut(&SessionState, TickOutcome),
+) {
+    let metrics = &shared.metrics;
+    let mut members: Vec<_> = group
+        .iter_mut()
+        .map(|(slot, ticks)| {
+            let slot: &SessionSlot = slot;
+            (slot, lock_recover(&slot.state), ticks.drain(..))
+        })
+        .collect();
+    if plan.is_none() {
+        for (_, state, ticks) in &mut members {
+            prewarm(metrics, &mut state.detector, ticks.as_slice());
+        }
+    }
+    // Each member's tick at this position: its seq and degraded flag.
+    let mut due: Vec<Option<(u64, bool)>> = vec![None; members.len()];
+    let is_lane = |due: &Option<(u64, bool)>| matches!(due, Some((_, false)));
+    // The position's stepped ticks as (member, seq, degraded), and
+    // their steps in the same order.
+    let mut stepped: Vec<(usize, u64, bool)> = Vec::new();
+    let mut steps: Vec<AdaptiveStep> = Vec::new();
+    let (mut processed, mut degraded_ticks, mut alarms, mut alloc_free, mut batch_ticks) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
+    loop {
+        let t0 = Instant::now();
+        let mut recorded = 0u32;
+        for ((slot, state, ticks), due) in members.iter_mut().zip(&mut due) {
+            *due = None;
+            let Some(QueuedTick {
+                seq,
+                degraded,
+                tick,
+            }) = ticks.next()
+            else {
+                continue;
+            };
+            processed += 1;
+            let state: &mut SessionState = state;
+            // Contain a panicking record (the logger asserts on a
+            // wrong-dimension tick) to this session: unwinding through
+            // the drain would poison the engine's locks and cascade
+            // into every other session.
+            let record = || state.logger.record(tick.estimate, tick.input);
+            if catch_unwind(AssertUnwindSafe(record)).is_err() {
+                processed += fail_member(slot, ticks);
+                continue;
+            }
+            recorded += 1;
+            *due = Some((seq, degraded));
+        }
+        // Nothing recorded: every member is exhausted or failed.
+        if recorded == 0 {
+            break;
+        }
+
+        let t1 = Instant::now();
+        for (k, ((slot, state, ticks), due)) in members.iter_mut().zip(&due).enumerate() {
+            let Some((seq, degraded)) = *due else {
+                continue;
+            };
+            if plan.is_some() && !degraded {
+                continue;
+            }
+            let state: &mut SessionState = state;
+            let step = catch_unwind(AssertUnwindSafe(|| {
+                if degraded {
+                    state.detector.step_degraded(&state.logger)
+                } else {
+                    state.detector.step(&state.logger)
+                }
+            }));
+            match step {
+                Ok(step) => {
+                    stepped.push((k, seq, degraded));
+                    steps.push(step);
+                }
+                Err(_) => processed += fail_member(slot, ticks),
+            }
+        }
+        if let Some(plan) = plan.as_deref_mut() {
+            let mut lanes: Vec<BatchLane<'_>> = members
+                .iter_mut()
+                .zip(&due)
+                .filter(|(_, due)| is_lane(due))
+                .map(|((_, state, _), _)| {
+                    let state: &mut SessionState = state;
+                    BatchLane {
+                        logger: &state.logger,
+                        detector: &mut state.detector,
+                    }
+                })
+                .collect();
+            if !lanes.is_empty() {
+                plan.step_group(&mut lanes, &mut steps);
+                let n_lanes = lanes.len() as u64;
+                batch_ticks += n_lanes;
+                metrics
+                    .batch_sessions_hwm
+                    .fetch_max(n_lanes, Ordering::Relaxed);
+            }
+            let walked = due.iter().enumerate().filter(|(_, due)| is_lane(due));
+            stepped.extend(walked.map(|(k, due)| (k, due.expect("a lane").0, false)));
+        }
         let t2 = Instant::now();
 
-        engine.metrics.log_latency.record(t1 - t0);
-        engine.metrics.detect_latency.record(t2 - t1);
-        if queued.degraded {
-            degraded_ticks += 1;
-        } else if detector.last_step_was_alloc_free() {
-            alloc_free += 1;
+        // One span per phase covers the whole position; attribute the
+        // mean to each tick, so counts and totals match per-tick
+        // timing.
+        metrics
+            .log_latency
+            .record_n((t1 - t0) / recorded, u64::from(recorded));
+        if !steps.is_empty() {
+            let n = steps.len() as u32;
+            metrics.detect_latency.record_n((t2 - t1) / n, u64::from(n));
         }
-        if step.alarm() {
-            alarms += 1;
-        }
-        emit(TickOutcome {
-            session: slot.id,
-            seq: queued.seq,
-            degraded: queued.degraded,
-            step,
-        });
-    }
 
-    engine
-        .metrics
-        .ticks_processed
-        .fetch_add(processed, Ordering::Relaxed);
-    if degraded_ticks > 0 {
-        engine
-            .metrics
-            .degraded_ticks
-            .fetch_add(degraded_ticks, Ordering::Relaxed);
+        for ((k, seq, degraded), step) in stepped.drain(..).zip(steps.drain(..)) {
+            let (slot, state, _) = &members[k];
+            if degraded {
+                degraded_ticks += 1;
+            } else if state.detector.last_step_was_alloc_free() {
+                alloc_free += 1;
+            }
+            if step.alarm() {
+                alarms += 1;
+            }
+            let outcome = TickOutcome {
+                session: slot.id,
+                seq,
+                degraded,
+                step,
+            };
+            emit(state, outcome);
+        }
     }
-    if alarms > 0 {
-        engine
-            .metrics
-            .alarms_raised
-            .fetch_add(alarms, Ordering::Relaxed);
+    drop(members);
+
+    for (counter, n) in [
+        (&metrics.ticks_processed, processed),
+        (&metrics.degraded_ticks, degraded_ticks),
+        (&metrics.alarms_raised, alarms),
+        (&metrics.alloc_free_ticks, alloc_free),
+        (&metrics.batch_ticks, batch_ticks),
+    ] {
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
-    if alloc_free > 0 {
-        engine
-            .metrics
-            .alloc_free_ticks
-            .fetch_add(alloc_free, Ordering::Relaxed);
+}
+
+/// Prewarms a scalar member's deadline cache with one batched walk
+/// over its claimed non-degraded estimates, coalescing what would
+/// otherwise be per-tick cache-miss walks. Prewarmed entries are
+/// bit-identical to miss-path entries, so outcomes are unchanged.
+fn prewarm(metrics: &MetricsInner, detector: &mut AdaptiveDetector, ticks: &[QueuedTick]) {
+    if ticks.len() < 2 || !detector.has_deadline_cache() {
+        return;
     }
-    processed
+    let estimates: Vec<&Vector> = ticks
+        .iter()
+        .filter(|q| !q.degraded)
+        .map(|q| &q.tick.estimate)
+        .collect();
+    if estimates.is_empty() {
+        return;
+    }
+    let inserted = detector.prewarm_deadline_cache(&estimates) as u64;
+    if inserted > 0 {
+        metrics
+            .batched_deadline_queries
+            .fetch_add(inserted, Ordering::Relaxed);
+    }
+}
+
+/// Fails a group member's session after a panic in its record or
+/// step, and consumes the member's remaining claimed ticks without
+/// stepping them. Returns how many it consumed (they still count as
+/// processed).
+fn fail_member(slot: &SessionSlot, ticks: &mut std::vec::Drain<'_, QueuedTick>) -> u64 {
+    fail_session(slot);
+    ticks.by_ref().count() as u64
 }
 
 /// Fails one session after a panic escaped its logger/detector step:
@@ -1123,12 +1303,14 @@ fn process_batch_scalar(
 /// terminates, and wakes blocked producers and snapshot takers. The
 /// session's outcome stream simply ends; every other session keeps
 /// running — this is the containment that replaces the old
-/// lock-poisoning panic cascade.
+/// lock-poisoning panic cascade. The caller holds a reference to the
+/// session.
 fn fail_session(slot: &SessionSlot) {
     slot.failed.store(true, Ordering::Relaxed);
     let mut inbox = lock_recover(&slot.inbox);
     let dropped = inbox.ticks.len() as u64;
     inbox.ticks.clear();
+    inbox.keepalive = None;
     if !inbox.closed {
         inbox.closed = true;
         slot.engine
@@ -1139,319 +1321,7 @@ fn fail_session(slot: &SessionSlot) {
     drop(inbox);
     slot.space.notify_all();
     if dropped > 0 {
-        let mut pending = lock_recover(&slot.engine.pending);
-        *pending = pending.saturating_sub(dropped);
-        if *pending == 0 {
-            slot.engine.idle.notify_all();
-        }
-    }
-}
-
-/// Countdown used by the mega-drain to wait for the group tasks it
-/// scattered onto spare pool workers.
-struct GroupLatch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-/// The cross-session batched drain (batch mode's replacement for the
-/// per-session [`drain_session`] jobs). At most one runs per engine
-/// (guarded by `EngineShared::batch_scheduled`).
-///
-/// Each round it **gathers** up to [`EngineConfig::drain_batch`]
-/// waiting ticks from every registered session (claiming each via
-/// `Inbox::scheduled`, exactly like a per-session drain would),
-/// groups the claimed sessions by [`SessionSlot::batch_key`],
-/// **batch-detects** each group through one [`BatchPlan`] — lock-step
-/// across sessions, structure-of-arrays kernels under the hood — and
-/// **scatters** whole groups onto spare pool workers when there are
-/// any (the gather thread always processes the first group itself, so
-/// progress never depends on another worker being free). Degraded
-/// ticks are stepped beside their group, and every outcome stream is
-/// bit-identical to scalar mode.
-///
-/// With no pool (an engine built by [`DetectionEngine::without_pool`])
-/// it runs on the submitting thread and processes every group itself.
-fn mega_drain(shared: &Arc<EngineShared>, pool: Option<&Arc<WorkerPool>>) {
-    let drain_batch = shared.config.drain_batch;
-    let mut plan = BatchPlan::new();
-    loop {
-        // Gather: claim a tick batch from every session with work.
-        let slots: Vec<Arc<SessionSlot>> = {
-            let mut registry = lock_recover(&shared.sessions);
-            registry.retain(|weak| weak.strong_count() > 0);
-            registry.iter().filter_map(Weak::upgrade).collect()
-        };
-        let mut gathered: Vec<(u64, Arc<SessionSlot>, Vec<QueuedTick>)> = Vec::new();
-        let mut round_ticks = 0u64;
-        for slot in slots {
-            let mut inbox = lock_recover(&slot.inbox);
-            if inbox.scheduled || inbox.ticks.is_empty() {
-                continue;
-            }
-            let take = inbox.ticks.len().min(drain_batch);
-            let batch: Vec<QueuedTick> = inbox.ticks.drain(..take).collect();
-            inbox.scheduled = true;
-            drop(inbox);
-            // Queue slots freed: wake blocked producers.
-            slot.space.notify_all();
-            // The claim above is what pins the key: a recalibration
-            // waits for `scheduled` to clear before rewriting it, so
-            // this copy stays valid for the whole round.
-            let key = *lock_recover(&slot.batch_key);
-            round_ticks += batch.len() as u64;
-            gathered.push((key, slot, batch));
-        }
-
-        if gathered.is_empty() {
-            // A tick is queued only after the pending count rises
-            // (both under its session's inbox lock), so pending == 0
-            // here proves no session holds unclaimed work and the
-            // drain may retire. pending > 0 with an empty gather means
-            // a submit is mid-flight (or a dying session is about to
-            // refund its ticks) — spin until it lands. Holding the
-            // batch_scheduled lock across the check closes the race
-            // with a submit that just pushed: either it finds the flag
-            // still set (we saw its pending rise and loop again), or
-            // we retired first and its schedule attempt starts a fresh
-            // drain.
-            let mut scheduled = lock_recover(&shared.batch_scheduled);
-            let pending = lock_recover(&shared.pending);
-            if *pending == 0 {
-                *scheduled = false;
-                return;
-            }
-            drop(pending);
-            drop(scheduled);
-            std::thread::yield_now();
-            continue;
-        }
-
-        // Group claimed sessions by batch key.
-        gathered.sort_by_key(|(key, _, _)| *key);
-        let mut groups: Vec<Vec<(Arc<SessionSlot>, Vec<QueuedTick>)>> = Vec::new();
-        let mut prev_key = None;
-        for (key, slot, batch) in gathered {
-            if prev_key != Some(key) {
-                groups.push(Vec::new());
-                prev_key = Some(key);
-            }
-            groups.last_mut().expect("just pushed").push((slot, batch));
-        }
-
-        // Scatter: spare workers take whole groups. Never wait on a
-        // dispatched task unless another worker exists to run it.
-        let spare = pool.filter(|pool| pool.workers() > 1);
-        if let (true, Some(pool)) = (groups.len() > 1, spare) {
-            let latch = Arc::new(GroupLatch {
-                remaining: Mutex::new(groups.len() - 1),
-                done: Condvar::new(),
-            });
-            let mut rest = groups.into_iter();
-            let first = rest.next().expect("non-empty groups");
-            for group in rest {
-                let shared2 = Arc::clone(shared);
-                let latch2 = Arc::clone(&latch);
-                pool.execute(move || {
-                    let mut plan = BatchPlan::new();
-                    process_group(&shared2, &mut plan, group);
-                    let mut remaining = lock_recover(&latch2.remaining);
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        latch2.done.notify_all();
-                    }
-                });
-            }
-            process_group(shared, &mut plan, first);
-            let mut remaining = lock_recover(&latch.remaining);
-            while *remaining > 0 {
-                remaining = wait_recover(&latch.done, remaining);
-            }
-        } else {
-            for group in groups {
-                process_group(shared, &mut plan, group);
-            }
-        }
-
-        let mut pending = lock_recover(&shared.pending);
-        *pending -= round_ticks;
-        if *pending == 0 {
-            shared.idle.notify_all();
-        }
-    }
-}
-
-/// Releases a mega-drain claim on one session: the batch-mode
-/// counterpart of a per-session drain's empty-pop transition.
-fn finish_slot(slot: &SessionSlot) {
-    let mut inbox = lock_recover(&slot.inbox);
-    inbox.scheduled = false;
-    drop(inbox);
-    // Snapshot takers and blocked producers re-check their conditions.
-    slot.space.notify_all();
-}
-
-/// Steps a group of same-key sessions in lock-step: tick position 0 of
-/// every session forms one [`BatchPlan`] lane set, then position 1,
-/// and so on — per-session FIFO holds because each session contributes
-/// at most one tick per position, in order. Degraded ticks are stepped
-/// scalar (`step_degraded`) inline at their position; everything else
-/// rides the structure-of-arrays batch. Clears every member's claim on
-/// the way out.
-///
-/// All member state locks are held for the whole group (the gather
-/// already claimed every member via `Inbox::scheduled`, so the only
-/// other state-lock takers — snapshots, cache stats — briefly wait,
-/// exactly as they would behind a scalar drain's batch).
-fn process_group(
-    shared: &EngineShared,
-    plan: &mut BatchPlan,
-    group: Vec<(Arc<SessionSlot>, Vec<QueuedTick>)>,
-) {
-    let (slots, mut batches): (Vec<_>, Vec<_>) = group.into_iter().unzip();
-    let mut guards: Vec<_> = slots.iter().map(|slot| lock_recover(&slot.state)).collect();
-    let mut cursors = vec![0usize; slots.len()];
-    let mut processed = 0u64;
-    let mut degraded_ticks = 0u64;
-    let mut alarms = 0u64;
-    let mut alloc_free = 0u64;
-    let mut batch_ticks = 0u64;
-    let mut lane_meta: Vec<(usize, u64)> = Vec::new();
-    let mut steps: Vec<AdaptiveStep> = Vec::new();
-    loop {
-        let t0 = Instant::now();
-        lane_meta.clear();
-        let mut lanes: Vec<BatchLane<'_>> = Vec::new();
-        let mut recorded = 0u32;
-        for (k, guard) in guards.iter_mut().enumerate() {
-            let Some(queued) = batches[k].get_mut(cursors[k]) else {
-                continue;
-            };
-            cursors[k] += 1;
-            let estimate = std::mem::replace(&mut queued.tick.estimate, Vector::zeros(0));
-            let input = std::mem::replace(&mut queued.tick.input, Vector::zeros(0));
-            let degraded = queued.degraded;
-            let seq = queued.seq;
-            let state: &mut SessionState = &mut *guard;
-            // Same containment as the scalar path: a panic in this
-            // lane's record (or degraded step) fails only this
-            // session; the rest of the group keeps batching.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                state.logger.record(estimate, input);
-                degraded.then(|| state.detector.step_degraded(&state.logger))
-            }));
-            let Ok(degraded_step) = outcome else {
-                // Consume the failed session's remaining gathered
-                // ticks without stepping (the caller's pending-count
-                // decrement already covers them).
-                processed += (batches[k].len() - cursors[k] + 1) as u64;
-                cursors[k] = batches[k].len();
-                fail_session(&slots[k]);
-                continue;
-            };
-            recorded += 1;
-            if let Some(step) = degraded_step {
-                degraded_ticks += 1;
-                if step.alarm() {
-                    alarms += 1;
-                }
-                let _ = state.outcomes.send(TickOutcome {
-                    session: slots[k].id,
-                    seq,
-                    degraded: true,
-                    step,
-                });
-            } else {
-                lane_meta.push((k, seq));
-                lanes.push(BatchLane {
-                    logger: &state.logger,
-                    detector: &mut state.detector,
-                });
-            }
-        }
-        // recorded == 0 means every session is either exhausted or
-        // was failed above (which consumes its remaining ticks), so
-        // the group is done.
-        if recorded == 0 {
-            break;
-        }
-        processed += u64::from(recorded);
-        let t1 = Instant::now();
-        let n_lanes = lanes.len();
-        steps.clear();
-        if n_lanes > 0 {
-            plan.step_group(&mut lanes, &mut steps);
-        }
-        drop(lanes);
-        let t2 = Instant::now();
-
-        // One timing span covers the whole position; attribute the
-        // mean to each tick so batch-mode histograms stay comparable
-        // with scalar-mode ones (same count, same total).
-        shared
-            .metrics
-            .log_latency
-            .record_n((t1 - t0) / recorded, u64::from(recorded));
-        if n_lanes > 0 {
-            shared
-                .metrics
-                .detect_latency
-                .record_n((t2 - t1) / n_lanes as u32, n_lanes as u64);
-            batch_ticks += n_lanes as u64;
-            shared
-                .metrics
-                .batch_sessions_hwm
-                .fetch_max(n_lanes as u64, Ordering::Relaxed);
-        }
-
-        for (&(k, seq), step) in lane_meta.iter().zip(steps.drain(..)) {
-            let state = &guards[k];
-            if step.alarm() {
-                alarms += 1;
-            }
-            if state.detector.last_step_was_alloc_free() {
-                alloc_free += 1;
-            }
-            let _ = state.outcomes.send(TickOutcome {
-                session: slots[k].id,
-                seq,
-                degraded: false,
-                step,
-            });
-        }
-    }
-    drop(guards);
-
-    shared
-        .metrics
-        .ticks_processed
-        .fetch_add(processed, Ordering::Relaxed);
-    if degraded_ticks > 0 {
-        shared
-            .metrics
-            .degraded_ticks
-            .fetch_add(degraded_ticks, Ordering::Relaxed);
-    }
-    if alarms > 0 {
-        shared
-            .metrics
-            .alarms_raised
-            .fetch_add(alarms, Ordering::Relaxed);
-    }
-    if alloc_free > 0 {
-        shared
-            .metrics
-            .alloc_free_ticks
-            .fetch_add(alloc_free, Ordering::Relaxed);
-    }
-    if batch_ticks > 0 {
-        shared
-            .metrics
-            .batch_ticks
-            .fetch_add(batch_ticks, Ordering::Relaxed);
-    }
-    for slot in &slots {
-        finish_slot(slot);
+        retire(&slot.engine, dropped);
     }
 }
 
@@ -2263,6 +2133,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_stalled_session_keeps_its_whole_queue() {
+        // The drain pops a session's queue only while it can take the
+        // session's state lock. Submits spaced out so the drain gathers
+        // between them still find every earlier tick queued, so the
+        // Degrade pattern is exact: ticks 4.. degrade.
+        let engine = DetectionEngine::new(EngineConfig {
+            workers: 2,
+            queue_capacity: 4,
+            backpressure: BackpressurePolicy::Degrade,
+            ..EngineConfig::default()
+        });
+        let (logger, det) = parts(0.5, 10);
+        let (session, outcomes) = engine.add_session(logger, det);
+        {
+            let _stall = session.slot.state.lock().unwrap();
+            for _ in 0..10 {
+                session.submit(tick(0.0)).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            assert_eq!(lock_recover(&session.slot.inbox).ticks.len(), 10);
+        }
+        engine.drain();
+        let degraded: Vec<bool> = outcomes.try_iter().map(|o| o.degraded).collect();
+        assert_eq!(degraded, (0..10).map(|i| i >= 4).collect::<Vec<bool>>());
+    }
+
     /// Mixed fleet on a batch-mode engine vs direct per-detector
     /// stepping: same-model sessions with and without an exact
     /// deadline cache, a session with another horizon, and a forced
@@ -2342,10 +2239,10 @@ mod tests {
 
     #[test]
     fn batch_mode_scatters_groups_across_workers() {
-        // Two distinct model groups on a multi-worker pool: the
-        // mega-drain dispatches one group to a spare worker and
-        // processes the other inline. Outcomes must still match
-        // direct stepping exactly.
+        // Two distinct model groups on a multi-worker pool: the drain
+        // calls in a helper, and the two threads take the groups
+        // between them. Outcomes must still match direct stepping
+        // exactly.
         let engine = DetectionEngine::new(EngineConfig {
             workers: 4,
             cross_session_batch: true,
@@ -2401,29 +2298,61 @@ mod tests {
 
     #[test]
     fn batch_mode_dropped_session_does_not_hang_drain() {
-        // A handle dropped with ticks still queued takes the slot (and
-        // the ticks) down before the mega-drain can claim them; the
-        // slot's Drop must refund the pending count so drain returns.
-        let engine = DetectionEngine::new(EngineConfig {
-            workers: 1,
-            cross_session_batch: true,
-            ..EngineConfig::default()
-        });
-        let (logger, det) = parts(0.5, 10);
-        let (session, outcomes) = engine.add_session(logger, det);
-        for _ in 0..10 {
-            session.submit(tick(0.0)).unwrap();
+        // A handle dropped with ticks still queued: the session holds
+        // itself until the drain has gathered them, so every tick is
+        // still stepped and its outcome stays readable. The only
+        // worker is kept busy until the handle is gone, so the drop
+        // always comes before the gather.
+        for cross_session_batch in [false, true] {
+            let engine = DetectionEngine::new(EngineConfig {
+                workers: 1,
+                cross_session_batch,
+                ..EngineConfig::default()
+            });
+            let (logger, det) = parts(0.5, 10);
+            let (session, outcomes) = engine.add_session(logger, det);
+            let (go, wait) = mpsc::channel::<()>();
+            let pool = engine.pool.as_ref().expect("a pooled engine");
+            pool.execute(move || {
+                let _ = wait.recv();
+            });
+            for _ in 0..10 {
+                session.submit(tick(0.0)).unwrap();
+            }
+            drop(session);
+            go.send(()).unwrap();
+            engine.drain();
+            let seqs: Vec<u64> = outcomes.try_iter().map(|o| o.seq).collect();
+            assert_eq!(
+                seqs,
+                (0..10).collect::<Vec<u64>>(),
+                "batch = {cross_session_batch}"
+            );
+            assert_eq!(engine.metrics().ticks_processed, 10);
+            // The engine stays functional.
+            let (logger, det) = parts(0.5, 10);
+            let (fresh, fresh_out) = engine.add_session(logger, det);
+            fresh.submit(tick(0.0)).unwrap();
+            engine.drain();
+            assert_eq!(fresh_out.try_iter().count(), 1);
         }
-        drop(session);
-        drop(outcomes);
-        engine.drain();
-        // Whether the mega-drain won the race or the refund did, the
-        // engine must be idle now and stay functional.
-        let (logger, det) = parts(0.5, 10);
-        let (fresh, fresh_out) = engine.add_session(logger, det);
-        fresh.submit(tick(0.0)).unwrap();
-        engine.drain();
-        assert_eq!(fresh_out.try_iter().count(), 1);
+    }
+
+    #[test]
+    fn registry_stays_bounded_on_an_engine_that_never_drains() {
+        // A server's engine only steps batches, so no gather ever
+        // prunes its registry; registering prunes instead.
+        let engine = DetectionEngine::without_pool(EngineConfig::default());
+        for _ in 0..1000 {
+            let (logger, det) = parts(0.5, 10);
+            let (session, _outcomes) = engine.add_session(logger, det);
+            assert_eq!(session.step_batch(vec![tick(0.0)]).unwrap().len(), 1);
+        }
+        let registered = lock_recover(&engine.shared.sessions).len();
+        assert!(
+            registered <= 16,
+            "{registered} registry entries after 1000 closed sessions"
+        );
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //!   queue. Ticks within a session are processed strictly in
 //!   submission order (the detector is stateful), so each session's
 //!   [`TickOutcome`] stream is byte-identical to stepping the detector
-//!   directly; different sessions run concurrently on the pool.
+//!   directly. One drain steps every session: it gathers queued ticks,
+//!   groups the sessions (each alone, or same-plant sessions together
+//!   under [`EngineConfig::cross_session_batch`]) and steps the groups
+//!   concurrently on the pool.
 //! * [`SessionHandle::step_batch`] — run-to-completion: steps one
-//!   session's batch on the calling thread through the pool drain's
-//!   own scalar core and returns the outcomes. The servers use it on
-//!   engines built with [`DetectionEngine::without_pool`], so no tick
-//!   crosses a thread between the socket and its reply.
+//!   session's batch on the calling thread through the drain's own
+//!   group step, as a group of that session alone, and returns the
+//!   outcomes. The servers use it on engines built with
+//!   [`DetectionEngine::without_pool`], so no tick crosses a thread
+//!   between the socket and its reply.
 //! * **Backpressure** — [`BackpressurePolicy::Block`] throttles the
 //!   producer when a queue is full; [`BackpressurePolicy::Degrade`]
 //!   accepts the tick but processes it on the documented cheap path

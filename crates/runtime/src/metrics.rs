@@ -37,6 +37,9 @@ pub(crate) struct HistInner {
 }
 
 impl HistInner {
+    /// Records one sample: the reference [`HistInner::record_n`] is
+    /// tested against.
+    #[cfg(test)]
     pub(crate) fn record(&self, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
         match bucket_index(ns) {
@@ -48,10 +51,10 @@ impl HistInner {
     }
 
     /// Records `n` samples of identical duration in one shot. The
-    /// batched detection path measures one elapsed span for a whole
-    /// lane group and attributes the per-lane mean to each tick, so
-    /// histogram counts and totals stay comparable with the scalar
-    /// path's per-tick samples at a fraction of the clock reads.
+    /// engine measures one elapsed span per stage for a whole tick
+    /// position of a group and attributes the mean to each tick, so
+    /// histogram counts and totals stay per tick at a fraction of the
+    /// clock reads.
     pub(crate) fn record_n(&self, each: Duration, n: u64) {
         if n == 0 {
             return;
@@ -241,10 +244,10 @@ pub struct RuntimeMetrics {
     /// high-water mark, not a rate — it answers "how stale could the
     /// backup have been at the worst moment".
     pub replication_lag_hwm: u64,
-    /// Non-degraded ticks the mega drain stepped as structure-of-arrays
-    /// lanes of a `BatchPlan` group. In batch mode that is every
-    /// non-degraded queued tick; `SessionHandle::step_batch` steps on
-    /// the scalar core and does not count here. Zero unless
+    /// Non-degraded ticks the drain stepped as structure-of-arrays
+    /// lanes of a `BatchPlan` group. On a grouped engine that is every
+    /// non-degraded queued tick; `SessionHandle::step_batch` steps its
+    /// batch on the scalar kernels and does not count here. Zero unless
     /// `EngineConfig::cross_session_batch` is on.
     pub batch_ticks: u64,
     /// Widest lane set a single batched detection step has covered —

@@ -71,12 +71,13 @@ pub trait ReplicationSink: Send + Sync {
 pub struct ServerConfig {
     /// Configuration of each shard's detection engine. The engine has
     /// no worker pool — the thread that reads a `Tick` request steps
-    /// it ([`awsad_runtime::SessionHandle::step_batch`]) — so only
-    /// `queue_capacity`, `backpressure` and `drain_batch` apply: under
-    /// `Degrade` the ticks of one batch past `queue_capacity` take the
-    /// degraded step, and `drain_batch` sizes the deadline-cache
-    /// prewarm chunks. `workers` and `cross_session_batch` are
-    /// ignored.
+    /// it ([`awsad_runtime::SessionHandle::step_batch`], a group of
+    /// that session alone) — so only `queue_capacity`, `backpressure`
+    /// and `drain_batch` apply: under `Degrade` the ticks of one batch
+    /// past `queue_capacity` take the degraded step, and `drain_batch`
+    /// sizes the chunks, each of which prewarms the deadline cache.
+    /// `workers` (there is no pool) and `cross_session_batch` (a batch
+    /// is never grouped with another session's) are ignored.
     pub engine: EngineConfig,
     /// Maximum accepted frame payload length; larger declarations are
     /// rejected before allocation and drop the connection.

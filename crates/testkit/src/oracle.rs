@@ -542,7 +542,7 @@ pub fn batch_degraded(scenario: &Scenario, i: usize) -> bool {
 /// scenarios shares one engine running with `cross_session_batch`
 /// enabled, one session per scenario. Ticks are submitted
 /// round-robin (position `p` of every scenario before position `p+1`
-/// of any), so the mega-drain's gather keeps finding co-pending ticks
+/// of any), so the drain's gather keeps finding co-pending ticks
 /// across sessions and steps same-geometry sessions as vectorized
 /// lane groups. Returns one step stream per scenario plus the
 /// engine's final metrics so callers can assert the batched path

@@ -1,7 +1,7 @@
 //! The eighth differential-oracle path, run at volume: 200 seeded
 //! registry scenarios in chunks of 8, each chunk sharing one engine
 //! in forced cross-session batch mode. Round-robin submission keeps
-//! ticks from many sessions co-pending, so the mega-drain steps
+//! ticks from many sessions co-pending, so the grouped drain steps
 //! same-geometry sessions as vectorized SoA lane groups. Every
 //! session's `AdaptiveStep` stream — degraded ticks included — must be
 //! bit-identical to direct stepping, and the engine's own counters

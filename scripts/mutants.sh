@@ -10,13 +10,15 @@
 #   # kill: <command>
 #
 # The script copies the working tree (tracked and unignored files) once
-# into a temporary directory. For each patch it applies the patch there,
-# runs the kill command with a CARGO_TARGET_DIR shared by all mutants
-# (so only the mutated crates rebuild), and reverts the patch. A mutant
-# is killed when its command fails after a successful build; a patch
-# that no longer applies, or a mutant that does not compile, is an
-# error. The script prints one line per mutant and exits non-zero if any
-# mutant survives or errs.
+# into a temporary directory, stamping every file with the copy's time,
+# so a build an earlier run left in the shared target directory (built
+# with that run's last mutant applied) counts as stale. For each patch
+# it applies the patch there, runs the kill command with a
+# CARGO_TARGET_DIR shared by all mutants (so only the mutated crates
+# rebuild), and reverts the patch. A mutant is killed when its command
+# fails after a successful build; a patch that no longer applies, or a
+# mutant that does not compile, is an error. The script prints one line
+# per mutant and exits non-zero if any mutant survives or errs.
 #
 # Usage: scripts/mutants.sh [scripts/mutants/NAME.patch ...]
 #   MUTANTS_TARGET_DIR  shared target directory
@@ -36,7 +38,7 @@ trap 'rm -rf "$work"' EXIT
 tree=$work/tree
 mkdir -p "$tree" "$target"
 (cd "$root" && git ls-files -z --cached --others --exclude-standard \
-  | tar --null --ignore-failed-read -T - -cf -) | tar -xf - -C "$tree"
+  | tar --null --ignore-failed-read -T - -cf -) | tar -xmf - -C "$tree"
 
 header() { sed -n "s/^# $1: //p" "$2" | head -n 1; }
 
