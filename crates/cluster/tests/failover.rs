@@ -10,18 +10,21 @@
 //! at the client's progress point (promote and adopt), a stale
 //! replica (promote, discard, restore and replay), and a replica cut
 //! just before a model swap, which shares the post-swap checkpoint's
-//! `next_seq` and must still be discarded.
+//! `next_seq` and must still be discarded. A replica whose retained
+//! window holds non-finite and extreme values is adopted bit for bit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use awsad_cluster::{ClusterClient, LocalCluster, Recoveries, Replicator};
+use awsad_core::AdaptiveStep;
 use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::Client;
 use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{Frame, RingMember, WireOutcome};
 use awsad_serve::{ReplicationSink, ReplicationUpdate};
+use awsad_testkit::oracle::direct_steps;
 use awsad_testkit::scenario::{Scenario, SeedSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -308,6 +311,74 @@ fn failover_right_after_a_checkpoint_adopts_the_replica() {
         }
     );
     assert_eq!(promotions(&cluster), 1);
+    assert_wire_identical(&seed, outcomes, reference);
+    cluster.shutdown();
+}
+
+/// Non-finite, overflowing, subnormal and signed-zero values, as in
+/// `crates/net/tests/loopback.rs`.
+const HOSTILE: [f64; 8] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MAX,
+    -f64::MAX,
+    1e300,
+    5e-324,
+    -0.0,
+];
+
+#[test]
+fn a_replica_holding_hostile_values_is_adopted_bit_identically() {
+    // The first batch is always checkpointed. Its last eight ticks
+    // carry each hostile value once as an estimate and once as an
+    // input, so the replicated checkpoint's window (w_m = 12) holds
+    // every one of them when the primary dies.
+    let seed = SeedSpec::registry(0x4057_1E07).with_len(48);
+    let mut scenario = Scenario::from_seed(&seed);
+    assert!(scenario.max_window >= HOSTILE.len() && scenario.cache_capacity > 0);
+    let first = 2 * BATCH;
+    for (i, &v) in HOSTILE.iter().enumerate() {
+        let tick = &mut scenario.trace[first - HOSTILE.len() + i];
+        tick.estimate[0] = v;
+        tick.input[0] = HOSTILE[HOSTILE.len() - 1 - i];
+    }
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = direct_outcomes(&scenario);
+
+    let mut cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
+    let mut client = cluster.client();
+    let key = client.open_session(spec).expect("open").key;
+    let mut outcomes = client
+        .tick_batch(key, &scenario.trace[..first])
+        .expect("first batch");
+    let checkpoint = client.checkpoint(key).expect("routed");
+    assert_eq!(checkpoint.next_seq, first as u64);
+    let held: Vec<u64> = checkpoint
+        .entries
+        .iter()
+        .flat_map(|e| [e.estimate[0].to_bits(), e.input[0].to_bits()])
+        .collect();
+    for v in HOSTILE {
+        assert!(held.contains(&v.to_bits()), "the window lost {v:e}");
+    }
+    flush_primary(&cluster, &client, key);
+    outcomes.extend(kill_and_stream(
+        &mut cluster,
+        &mut client,
+        key,
+        &scenario.trace[first..],
+    ));
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            adopted: 1,
+            ..Recoveries::default()
+        }
+    );
+    assert_eq!(promotions(&cluster), 1);
+    let steps: Vec<AdaptiveStep> = outcomes.iter().map(WireOutcome::to_step).collect();
+    assert_eq!(steps, direct_steps(&scenario), "seed {seed}");
     assert_wire_identical(&seed, outcomes, reference);
     cluster.shutdown();
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! fuzz --seconds 30 --seed 5      # CI smoke: scenarios + wire fuzz
-//! fuzz --repro <seed-string>      # replay one scenario exactly
+//! fuzz --repro <seed>[,<seed>...] # replay one chunk exactly
 //! fuzz --wire <n>                 # replay one wire-fuzz iteration
 //! fuzz --torn <n>                 # replay one torn-frame probe
 //! ```
@@ -11,10 +11,10 @@
 //! The smoke loop interleaves four activities, all derived from the
 //! master seed:
 //!
-//! * **scenario oracles** — generate a scenario, run the differential
-//!   oracles (all five paths for registry scenarios, local paths for
-//!   random-LTI ones, and the recalibration path for drift scenarios)
-//!   plus the estimator self-checks;
+//! * **scenario oracles** — generate one scenario per lap, cycling
+//!   through the five families, and run each chunk of five through
+//!   [`check_paths`]: every path each scenario supports, then the
+//!   whole chunk through one cross-session-batch engine;
 //! * **wire fuzz** — batches of structure-aware frame mutations plus
 //!   the allocation-guard checks;
 //! * **poisoning probes** — periodically prove hostile bytes on one
@@ -26,19 +26,22 @@
 //!
 //! Every live check runs against one single-shard `awsad-net` server.
 //!
-//! On a scenario failure the shrinker minimizes the trace length via
-//! the seed string's `len=` field (re-verifying each candidate) and
-//! prints a two-line repro: the minimized seed string and the command
-//! that replays it. Exit code 1 signals any failure.
+//! On a scenario failure the shrinker drops the failing scenario's
+//! lane-mates if it fails alone, minimizes its trace length via its
+//! seed string's `len=` field (re-verifying each candidate chunk), and
+//! prints a two-line repro: the minimized chunk's seed strings and the
+//! command that replays it. `--repro` runs the same [`check_paths`]
+//! and prints its report: the paths each scenario ran and the cluster
+//! failovers by branch. Exit code 1 signals any failure.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use awsad_net::{NetServer, NetServerConfig};
-use awsad_testkit::scenario::{Scenario, SeedSpec};
+use awsad_testkit::scenario::{repro_command, Scenario, SeedSpec};
 use awsad_testkit::wirefuzz;
-use awsad_testkit::{check_estimator, check_five_paths, check_local_paths, check_recalibrate_path};
+use awsad_testkit::{check_paths, OracleError, PathsReport};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
@@ -103,7 +106,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz [--seconds N] [--seed S] [--repro SEEDSTRING] [--wire N] [--torn N]"
+                    "usage: fuzz [--seconds N] [--seed S] [--repro SEEDSTRING[,SEEDSTRING...]] [--wire N] [--torn N]"
                 );
                 std::process::exit(0);
             }
@@ -113,65 +116,66 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Runs every oracle that applies to the scenario; returns the first
-/// failure rendered as a string.
-fn check_scenario(seed: &SeedSpec, addr: SocketAddr) -> Result<(), String> {
-    let scenario = Scenario::from_seed(seed);
-    check_estimator(&scenario).map_err(|e| e.to_string())?;
-    if scenario.spec.is_some() {
-        check_five_paths(&scenario, addr).map_err(|e| e.to_string())?;
-    } else {
-        check_local_paths(&scenario).map_err(|e| e.to_string())?;
-    }
-    if scenario.recalibration.is_some() {
-        check_recalibrate_path(&scenario, addr).map_err(|e| e.to_string())?;
-    }
-    Ok(())
+/// Scenarios per smoke chunk: one of each family, so registry,
+/// sensor, severe and drift scenarios on the same plant can share a
+/// batch lane group.
+const CHUNK: usize = 5;
+
+/// Runs every oracle path over the chunk the seeds describe.
+fn check_chunk(seeds: &[SeedSpec], addr: SocketAddr) -> Result<PathsReport, OracleError> {
+    let chunk: Vec<Scenario> = seeds.iter().map(Scenario::from_seed).collect();
+    check_paths(&chunk, addr)
 }
 
-/// Minimizes a failing seed by lowering its `len=` override, greedily
-/// then by binary search, re-verifying every candidate. Returns the
-/// smallest still-failing seed and its failure message.
+/// Minimizes a failing chunk: drops the failing scenario's lane-mates
+/// when it fails alone, then lowers its `len=` override by binary
+/// search, keeping a candidate only when that scenario still fails.
+/// Returns the smallest failing chunk and its failure.
 fn shrink(
-    failing: &SeedSpec,
-    failure: String,
-    check: impl Fn(&SeedSpec) -> Result<(), String>,
-) -> (SeedSpec, String) {
-    let full_len = Scenario::from_seed(failing).trace.len();
-    let mut best = failing.with_len(full_len);
+    chunk: &[SeedSpec],
+    failure: OracleError,
+    addr: SocketAddr,
+) -> (Vec<SeedSpec>, OracleError) {
+    let seed = failure.seed;
+    let mut best = vec![seed];
     let mut best_failure = failure;
-    let (mut lo, mut hi) = (1usize, full_len);
+    match check_chunk(&best, addr) {
+        Err(e) if e.seed == seed => best_failure = e,
+        _ => best = chunk.to_vec(),
+    }
+    let i = best
+        .iter()
+        .position(|s| *s == seed)
+        .expect("the failure names a scenario of the chunk");
+    let (mut lo, mut hi) = (1usize, Scenario::from_seed(&seed).trace.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let candidate = failing.with_len(mid);
-        match check(&candidate) {
-            Err(msg) => {
+        let mut candidate = best.clone();
+        candidate[i] = seed.with_len(mid);
+        match check_chunk(&candidate, addr) {
+            Err(e) if e.seed == candidate[i] => {
                 best = candidate;
-                best_failure = msg;
+                best_failure = e;
                 hi = mid;
             }
-            Ok(()) => lo = mid + 1,
+            _ => lo = mid + 1,
         }
     }
     (best, best_failure)
 }
 
-fn report_scenario_failure(
-    seed: &SeedSpec,
-    failure: String,
-    check: impl Fn(&SeedSpec) -> Result<(), String>,
-) {
-    eprintln!("FAIL {seed}: {failure}");
-    let (min, min_failure) = shrink(seed, failure, check);
+fn report_chunk_failure(chunk: &[SeedSpec], failure: OracleError, addr: SocketAddr) {
+    eprintln!("FAIL {failure}");
+    let (min, min_failure) = shrink(chunk, failure, addr);
     eprintln!("shrunk: {min_failure}");
-    eprintln!("minimized failing scenario: {min}");
-    eprintln!("{}", min.repro_command());
+    let seeds: Vec<String> = min.iter().map(SeedSpec::to_string).collect();
+    eprintln!("minimized failing chunk: {}", seeds.join(","));
+    eprintln!("{}", repro_command(&min));
 }
 
 fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
     let server = bind_server();
     let addr = server.local_addr();
-    let check = |seed: &SeedSpec| check_scenario(seed, addr);
 
     let deadline = Instant::now() + Duration::from_secs(seconds);
     let mut rng = StdRng::seed_from_u64(master_seed);
@@ -179,6 +183,7 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
     let mut wire_iters = 0u64;
     let mut probes = 0u64;
     let mut torn_probes = 0u64;
+    let mut chunk = Vec::with_capacity(CHUNK);
     let mut failed = false;
 
     while Instant::now() < deadline && !failed {
@@ -217,12 +222,16 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
             3 => SeedSpec::severe(scenario_seed),
             _ => SeedSpec::drift(scenario_seed),
         };
-        if let Err(failure) = check(&seed) {
-            report_scenario_failure(&seed, failure, check);
-            failed = true;
-            break;
-        }
+        chunk.push(seed);
         scenarios += 1;
+        if chunk.len() == CHUNK {
+            if let Err(failure) = check_chunk(&chunk, addr) {
+                report_chunk_failure(&chunk, failure, addr);
+                failed = true;
+                break;
+            }
+            chunk.clear();
+        }
 
         // Poisoning probe every 8th lap: hostile bytes from the frame
         // mutator against a live connection pair.
@@ -255,6 +264,13 @@ fn smoke(seconds: u64, master_seed: u64) -> ExitCode {
         }
     }
 
+    // The time box can end mid-chunk; check what it generated.
+    if !failed && !chunk.is_empty() {
+        if let Err(failure) = check_chunk(&chunk, addr) {
+            report_chunk_failure(&chunk, failure, addr);
+            failed = true;
+        }
+    }
     server.shutdown();
     println!(
         "fuzz smoke: {scenarios} scenarios, {wire_iters} wire iterations, {probes} poisoning probes, {torn_probes} torn-frame probes ({})",
@@ -277,26 +293,28 @@ fn run_torn_probe(torn_seed: u64, addr: SocketAddr) -> Result<(), String> {
         .map_err(|v| format!("{probe_seed}: {v}"))
 }
 
-fn repro(seed_string: &str) -> ExitCode {
-    let seed: SeedSpec = match seed_string.parse() {
-        Ok(s) => s,
+fn repro(seed_strings: &str) -> ExitCode {
+    let seeds: Vec<SeedSpec> = match seed_strings.split(',').map(str::parse).collect() {
+        Ok(seeds) => seeds,
         Err(e) => {
             eprintln!("bad seed string: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let chunk: Vec<Scenario> = seeds.iter().map(Scenario::from_seed).collect();
+    for scenario in &chunk {
+        println!("replaying {}: {}", scenario.seed, scenario.label);
+    }
     let server = bind_server();
-    let scenario = Scenario::from_seed(&seed);
-    println!("replaying {seed}: {}", scenario.label);
-    let result = check_scenario(&seed, server.local_addr());
+    let result = check_paths(&chunk, server.local_addr());
     server.shutdown();
     match result {
-        Ok(()) => {
-            println!("scenario passes every oracle");
+        Ok(report) => {
+            println!("{report}");
             ExitCode::SUCCESS
         }
         Err(failure) => {
-            eprintln!("FAIL {seed}: {failure}");
+            eprintln!("FAIL {failure}");
             ExitCode::FAILURE
         }
     }
@@ -340,8 +358,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(seed_string) = &args.repro {
-        return repro(seed_string);
+    if let Some(seed_strings) = &args.repro {
+        return repro(seed_strings);
     }
     if let Some(wire_seed) = args.wire {
         return wire_repro(wire_seed);

@@ -28,8 +28,8 @@
 //!   so the drifted dynamics are exactly identifiable, with an
 //!   optional concurrent sensor attack on top. Carries a precomputed
 //!   [`ScenarioRecalibration`] — the tick index and drifted matrices
-//!   the session swaps to via the `Recalibrate` wire op — feeding the
-//!   ninth differential-oracle path.
+//!   the session swaps to via the `Recalibrate` wire op; the oracle
+//!   swaps the model there on every path it runs the scenario on.
 //!
 //! Every scenario derives deterministically from a [`SeedSpec`], which
 //! serializes to a one-line seed string
@@ -171,8 +171,20 @@ impl SeedSpec {
 
     /// The `cargo run` invocation that replays this exact scenario.
     pub fn repro_command(&self) -> String {
-        format!("cargo run --release -p awsad-testkit --bin fuzz -- --repro {self}")
+        repro_command(std::slice::from_ref(self))
     }
+}
+
+/// The `cargo run` invocation that replays this exact chunk, through
+/// the same oracle as the fuzz smoke and the oracle tests. A
+/// batch-path failure can depend on the chunk's other scenarios, so
+/// the repro keeps them all.
+pub fn repro_command(chunk: &[SeedSpec]) -> String {
+    let seeds: Vec<String> = chunk.iter().map(SeedSpec::to_string).collect();
+    format!(
+        "cargo run --release -p awsad-testkit --bin fuzz -- --repro {}",
+        seeds.join(",")
+    )
 }
 
 impl fmt::Display for SeedSpec {
@@ -256,8 +268,10 @@ pub struct Scenario {
     pub seed: SeedSpec,
     /// Human-readable description (plant + attack schedule).
     pub label: String,
-    /// The wire spec — `Some` exactly for [`Family::Registry`]
-    /// scenarios, which are the ones the serve paths can run.
+    /// The wire spec — `Some` for every family but
+    /// [`Family::RandomLti`], whose detector knobs the wire cannot
+    /// express; the wire paths run exactly the scenarios that have
+    /// one.
     pub spec: Option<SessionSpec>,
     /// The plant.
     pub system: LtiSystem,
@@ -291,7 +305,8 @@ pub struct Scenario {
     /// The step the attack schedule activates at (`None` = benign).
     pub attack_onset: Option<usize>,
     /// The mid-stream model swap — `Some` exactly for
-    /// [`Family::Drift`] scenarios, which the ninth oracle path runs.
+    /// [`Family::Drift`] scenarios; the oracle swaps the model at its
+    /// boundary on every path it runs the scenario on.
     pub recalibration: Option<ScenarioRecalibration>,
 }
 
