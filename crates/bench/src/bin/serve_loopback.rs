@@ -9,10 +9,11 @@
 //! process, so the CI smoke step doubles as a perf regression gate.
 //!
 //! A second section measures **reconnect-and-resume latency**: a
-//! `ReconnectingClient` streams the same scenario while the server is
-//! repeatedly killed and rebound on the same address; each resume
-//! (reconnect + `RestoreSession` + batch replay) is timed, and the
-//! recovered stream is asserted byte-identical to direct stepping.
+//! `ClusterClient` over a one-member ring streams the same scenario
+//! while the server is repeatedly killed and rebound on the same
+//! address; each in-place resume (reconnect + `RestoreSession` + tick
+//! log replay + the interrupted batch) is timed, and the recovered
+//! stream is asserted byte-identical to direct stepping.
 //!
 //! A third section, **`serve_epoll`**, loads the server with
 //! [`EPOLL_CONNS`] concurrent loopback
@@ -34,6 +35,7 @@ use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
 use awsad_bench::{write_json, Json};
+use awsad_cluster::{ClusterClient, HashRing, Recoveries, RetryPolicy};
 use awsad_core::{AdaptiveDetector, AdaptiveStep, DataLogger, DetectorConfig};
 use awsad_linalg::Vector;
 use awsad_models::Simulator;
@@ -41,8 +43,8 @@ use awsad_net::sys::{Event, Interest, Poller};
 use awsad_net::{BufferPool, FrameAssembler, NetServer, NetServerConfig, ReadStatus, WriteQueue};
 use awsad_reach::{CacheConfig, DeadlineCache};
 use awsad_runtime::{DetectionEngine, EngineConfig, Tick};
-use awsad_serve::wire::{Frame, WireLatency, WireTick, DEFAULT_MAX_FRAME_LEN};
-use awsad_serve::{Client, ReconnectingClient, RetryPolicy, SessionSpec};
+use awsad_serve::wire::{Frame, RingMember, WireLatency, WireTick, DEFAULT_MAX_FRAME_LEN};
+use awsad_serve::{Client, SessionSpec};
 
 /// Ticks streamed over the loopback connection.
 const TOTAL_TICKS: usize = 131_072;
@@ -137,10 +139,10 @@ fn direct_steps(model: &awsad_models::CpsModel, trace: &[WireTick]) -> (Vec<Adap
     direct_steps_with_cache(model, trace, CACHE_CAPACITY)
 }
 
-/// Streams [`RESUME_TICKS`] through a `ReconnectingClient` while the
-/// server is killed and rebound [`RESUME_KILLS`] times, timing each
-/// resume (server back up → interrupted batch's outcomes in hand) and
-/// asserting the recovered stream equals direct stepping.
+/// Streams [`RESUME_TICKS`] through a one-member-ring `ClusterClient`
+/// while the server is killed and rebound [`RESUME_KILLS`] times,
+/// timing each resume (server back up → interrupted batch's outcomes
+/// in hand) and asserting the recovered stream equals direct stepping.
 fn reconnect_resume(model: &awsad_models::CpsModel) -> Json {
     let trace = pinned_trace(model, RESUME_TICKS);
     let (direct, _) = direct_steps(model, &trace);
@@ -154,10 +156,14 @@ fn reconnect_resume(model: &awsad_models::CpsModel) -> Json {
         max_delay: std::time::Duration::from_millis(20),
         seed: 1,
     };
-    let mut rc = ReconnectingClient::connect(addr, policy).expect("connect reconnecting");
+    let member = RingMember {
+        shard: 0,
+        addr: addr.to_string(),
+    };
+    let mut client = ClusterClient::with_policy(HashRing::new(1, vec![member]), policy);
     let mut spec = SessionSpec::model_defaults(Simulator::VehicleTurning.table1_row() as u8);
     spec.cache_capacity = CACHE_CAPACITY;
-    let session = rc.open_session(&spec).expect("open resumable session");
+    let session = client.open_session(&spec).expect("open resumable session");
 
     let chunks: Vec<&[WireTick]> = trace.chunks(RESUME_BATCH).collect();
     let kill_every = chunks.len() / (RESUME_KILLS + 1);
@@ -173,15 +179,22 @@ fn reconnect_resume(model: &awsad_models::CpsModel) -> Json {
             // The server is back; time reconnect + restore + replay
             // up to the interrupted batch's outcomes being in hand.
             let t0 = Instant::now();
-            outcomes.extend(rc.tick_batch(session.id, chunk).expect("resume batch"));
+            outcomes.extend(client.tick_batch(session.key, chunk).expect("resume batch"));
             resume_secs.push(t0.elapsed().as_secs_f64());
         } else {
-            outcomes.extend(rc.tick_batch(session.id, chunk).expect("tick batch"));
+            outcomes.extend(client.tick_batch(session.key, chunk).expect("tick batch"));
         }
     }
     server.expect("live server").shutdown();
 
-    assert_eq!(rc.reconnects(), RESUME_KILLS as u64);
+    let restored = RESUME_KILLS as u64;
+    assert_eq!(
+        client.recoveries(),
+        Recoveries {
+            restored,
+            ..Recoveries::default()
+        }
+    );
     assert_eq!(outcomes.len(), direct.len());
     for (i, (remote, local)) in outcomes.iter().zip(&direct).enumerate() {
         assert_eq!(remote.seq, i as u64, "seq discontinuity across resume");
@@ -204,7 +217,7 @@ fn reconnect_resume(model: &awsad_models::CpsModel) -> Json {
         ("ticks".into(), Json::Int(RESUME_TICKS as u64)),
         ("batch".into(), Json::Int(RESUME_BATCH as u64)),
         ("server_kills".into(), Json::Int(RESUME_KILLS as u64)),
-        ("reconnects".into(), Json::Int(rc.reconnects())),
+        ("restored".into(), Json::Int(restored)),
         ("resume_mean_ms".into(), Json::Num(1e3 * mean)),
         ("resume_min_ms".into(), Json::Num(1e3 * min)),
         ("resume_max_ms".into(), Json::Num(1e3 * max)),

@@ -53,10 +53,23 @@
 //! work is possible (the dead shard may have applied the batch before
 //! dying, and replayed ticks are stepped again); duplicated or lost
 //! *caller-visible* outcomes are not.
+//!
+//! # The last member recovers in place
+//!
+//! A failed shard with no ring successor stays on the ring, and its
+//! sessions are pinned to it. No shard holds a replica of its own
+//! sessions, so each one recovers on its own next call by branch 3
+//! against the same address: reconnect with the [`RetryPolicy`]'s
+//! decorrelated-jitter backoff (the first attempt immediate), then
+//! restore the checkpoint and replay the log. This is how a one-member
+//! ring makes sessions survive a server restart (the
+//! [`ClusterClient`] example).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::thread;
+use std::time::Duration;
 
 use awsad_serve::client::{Client, ClientError};
 use awsad_serve::wire::{
@@ -99,6 +112,34 @@ impl From<ClientError> for ClusterError {
 /// Result alias for cluster calls.
 pub type Result<T> = std::result::Result<T, ClusterError>;
 
+/// Backoff and retry limits for recovering a session in place (module
+/// docs).
+#[derive(Debug, Clone)]
+pub struct RetryPolicy {
+    /// Reconnection attempts per recovery after the first, immediate
+    /// one; once they are spent the call fails with
+    /// [`ClusterError::NoShards`].
+    pub max_retries: u32,
+    /// First backoff delay, and the floor for every later one.
+    pub base_delay: Duration,
+    /// Cap on any single backoff delay.
+    pub max_delay: Duration,
+    /// Seed for the jitter PRNG — equal seeds give identical backoff
+    /// schedules, which keeps chaos tests deterministic.
+    pub seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_retries: 8,
+            base_delay: Duration::from_millis(50),
+            max_delay: Duration::from_secs(2),
+            seed: 0x9e37_79b9_7f4a_7c15,
+        }
+    }
+}
+
 /// A session opened through the cluster router.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterSession {
@@ -122,8 +163,9 @@ pub struct Recoveries {
     /// The promoted replica was the client's checkpoint; the tick log
     /// was replayed onto it.
     pub replayed: u64,
-    /// No usable replica (none arrived, or an older cut): the
-    /// checkpoint was restored and the tick log replayed onto it.
+    /// No usable replica (none arrived, an older cut, or a shard with
+    /// no ring successor recovered in place): the checkpoint was
+    /// restored and the tick log replayed onto it.
     pub restored: u64,
 }
 
@@ -162,7 +204,9 @@ struct Route {
     log: Vec<f64>,
     /// Promotion target captured at the instant the primary was
     /// declared dead (computed on the ring the primary replicated
-    /// by, so it names the member actually holding the replica).
+    /// by, so it names the member actually holding the replica), or
+    /// the primary itself when it had no successor. `Some` exactly
+    /// while the session's server-side state is gone.
     backup: Option<u32>,
 }
 
@@ -278,24 +322,63 @@ fn replay(conn: &mut Client, session: u64, route: &Route) -> std::result::Result
 
 /// The consistent-hash session router. See the module docs for the
 /// failover protocol.
+///
+/// Over a one-member ring it is a reconnecting client: sessions
+/// survive a server kill and restart on the same address.
+///
+/// ```no_run
+/// use awsad_cluster::ClusterClient;
+/// use awsad_serve::wire::{RingMember, SessionSpec, WireTick};
+///
+/// let addr = "127.0.0.1:4048".to_string();
+/// let mut client = ClusterClient::from_members(&[RingMember { shard: 0, addr }]);
+/// let session = client.open_session(&SessionSpec::model_defaults(2)).unwrap();
+/// // Stream as usual; kill the server mid-loop and restart it on the
+/// // same address: the outcomes keep arriving, byte-identical, with
+/// // seq numbering intact.
+/// let batch = vec![WireTick { estimate: vec![0.01], input: vec![0.0] }];
+/// for outcome in client.tick_batch(session.key, &batch).unwrap() {
+///     if outcome.alarm() { /* respond */ }
+/// }
+/// ```
 pub struct ClusterClient {
     ring: HashRing,
     conns: HashMap<u32, Client>,
     routes: HashMap<u64, Route>,
     next_key: u64,
     recoveries: Recoveries,
+    policy: RetryPolicy,
+    /// The delay the next backoff is derived from.
+    backoff_floor: Duration,
+    /// xorshift64* state of the backoff jitter.
+    rng: u64,
 }
 
 impl ClusterClient {
     /// A router over an explicit ring (connections are opened
-    /// lazily, per shard, on first use).
+    /// lazily, per shard, on first use), recovering in place under
+    /// the default [`RetryPolicy`].
     pub fn new(ring: HashRing) -> ClusterClient {
+        ClusterClient::with_policy(ring, RetryPolicy::default())
+    }
+
+    /// A router over `ring` whose in-place recoveries follow `policy`.
+    pub fn with_policy(ring: HashRing, policy: RetryPolicy) -> ClusterClient {
         ClusterClient {
             ring,
             conns: HashMap::new(),
             routes: HashMap::new(),
             next_key: 1,
             recoveries: Recoveries::default(),
+            backoff_floor: policy.base_delay,
+            // xorshift has a zero fixed point; substitute the default
+            // seed.
+            rng: if policy.seed == 0 {
+                RetryPolicy::default().seed
+            } else {
+                policy.seed
+            },
+            policy,
         }
     }
 
@@ -309,9 +392,19 @@ impl ClusterClient {
         &self.ring
     }
 
-    /// How many sessions have been failed over to a backup so far.
+    /// How many sessions have been rebuilt after a transport failure
+    /// so far: failed over to a backup, or recovered in place.
     pub fn failovers(&self) -> u64 {
         self.recoveries.total()
+    }
+
+    /// The delay the next backoff will be derived from:
+    /// [`RetryPolicy::base_delay`] after a successful in-place
+    /// recovery, inflated while an outage is being retried (an outage
+    /// that exhausts its retries leaves it inflated until the next
+    /// success).
+    pub fn current_backoff_floor(&self) -> Duration {
+        self.backoff_floor
     }
 
     /// The failovers so far, by how each rebuilt its session.
@@ -390,10 +483,12 @@ impl ClusterClient {
     /// Typed server errors (dimension mismatch, unknown session —
     /// e.g. after a TTL eviction) surface as
     /// [`ClusterError::Client`]; failover exhaustion (no surviving
-    /// member) as [`ClusterError::NoShards`].
+    /// member, or an in-place recovery out of retries) as
+    /// [`ClusterError::NoShards`].
     pub fn tick_batch(&mut self, key: u64, ticks: &[WireTick]) -> Result<Vec<WireOutcome>> {
-        let shard = self.route(key)?.shard;
-        let delivered = if self.ring.addr_of(shard).is_some() {
+        let route = self.route(key)?;
+        let shard = route.shard;
+        let delivered = if route.backup.is_none() {
             match self.send_batch(key, ticks) {
                 Ok(outcomes) => Some(outcomes),
                 Err(e) if transport_failure(&e) => {
@@ -470,7 +565,8 @@ impl ClusterClient {
     /// dead shard replicated by — the member set must match for the
     /// successor walk to land on the actual replica holder), shrinks
     /// the ring, and broadcasts the new epoch so surviving
-    /// replicators re-route. Idempotent.
+    /// replicators re-route. The last member stays on the ring, its
+    /// sessions pinned to itself, to recover in place. Idempotent.
     fn fail_shard(&mut self, dead: u32) {
         if self.ring.addr_of(dead).is_none() {
             return;
@@ -479,11 +575,14 @@ impl ClusterClient {
         let ring = &self.ring;
         for route in self.routes.values_mut() {
             if route.shard == dead && route.backup.is_none() {
-                route.backup = ring.successor_for(replica_key(dead, route.remote), dead);
+                let successor = ring.successor_for(replica_key(dead, route.remote), dead);
+                route.backup = Some(successor.unwrap_or(dead));
             }
         }
-        self.ring = self.ring.without(dead);
-        self.broadcast_ring();
+        if self.ring.len() > 1 {
+            self.ring = self.ring.without(dead);
+            self.broadcast_ring();
+        }
     }
 
     /// Pushes the current ring view to every member, best-effort: a
@@ -505,10 +604,61 @@ impl ClusterClient {
 
     /// Moves the session to its pinned backup, rebuilt at the client's
     /// progress point by one of the three branches of the module docs.
-    /// The route switches to the backup only once the rebuilt session
-    /// is at progress, so a failure part-way leaves it pinned to the
-    /// dead shard and the next call retries.
+    /// A session pinned to its own shard is recovered in place,
+    /// reconnecting with backoff until the policy's retries are spent
+    /// ([`ClusterError::NoShards`]). The route switches to the backup
+    /// only once the rebuilt session is at progress, so a failure
+    /// part-way leaves it pinned and the next call retries.
     fn failover(&mut self, key: u64) -> Result<()> {
+        let route = self.route(key)?;
+        let (shard, target) = (route.shard, route.backup.ok_or(ClusterError::NoShards)?);
+        if target != shard {
+            return Ok(self.rebuild(key)?);
+        }
+        let mut attempt = 0;
+        loop {
+            match self.rebuild(key) {
+                Ok(()) => {
+                    self.backoff_floor = self.policy.base_delay;
+                    return Ok(());
+                }
+                Err(e) if !transport_failure(&e) => return Err(e.into()),
+                Err(_) => {
+                    // The connection is gone again, and with it every
+                    // session restored on it since.
+                    self.fail_shard(shard);
+                    if attempt == self.policy.max_retries {
+                        return Err(ClusterError::NoShards);
+                    }
+                    attempt += 1;
+                    thread::sleep(self.next_backoff());
+                }
+            }
+        }
+    }
+
+    /// Decorrelated-jitter backoff: uniform in
+    /// `[base, min(max, 3 * floor))`, never below `base`; the delay
+    /// drawn becomes the next floor.
+    fn next_backoff(&mut self) -> Duration {
+        let base = self.policy.base_delay.as_nanos() as u64;
+        let ceiling = (self.backoff_floor.as_nanos() as u64)
+            .saturating_mul(3)
+            .min(self.policy.max_delay.as_nanos() as u64)
+            .max(base.saturating_add(1));
+        // xorshift64*: deterministic, dependency-free jitter.
+        self.rng ^= self.rng >> 12;
+        self.rng ^= self.rng << 25;
+        self.rng ^= self.rng >> 27;
+        let draw = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        self.backoff_floor = Duration::from_nanos(base + draw % (ceiling - base));
+        self.backoff_floor
+    }
+
+    /// One attempt at rebuilding the session on its pinned target. A
+    /// shard never holds a replica of its own sessions, so an in-place
+    /// rebuild skips promotion and restores.
+    fn rebuild(&mut self, key: u64) -> std::result::Result<(), ClientError> {
         let Self {
             ring,
             conns,
@@ -516,20 +666,22 @@ impl ClusterClient {
             recoveries,
             ..
         } = self;
-        let route = routes
-            .get_mut(&key)
-            .ok_or(ClusterError::UnknownSession(key))?;
-        let target = route.backup.ok_or(ClusterError::NoShards)?;
+        let route = routes.get_mut(&key).expect("caller checked the route");
+        let target = route.backup.expect("caller saw the route pinned");
         let conn = connect(conns, ring, target)?;
-        let promoted = match conn.promote_session(replica_key(route.shard, route.remote)) {
-            Ok(promoted) => Some(promoted),
-            // No replica ever arrived (replication is best-effort,
-            // and a fresh session is never replicated).
-            Err(ClientError::Server {
-                code: ErrorCode::UnknownSession,
-                ..
-            }) => None,
-            Err(e) => return Err(e.into()),
+        let promoted = if target == route.shard {
+            None
+        } else {
+            match conn.promote_session(replica_key(route.shard, route.remote)) {
+                Ok(promoted) => Some(promoted),
+                // No replica ever arrived (replication is best-effort,
+                // and a fresh session is never replicated).
+                Err(ClientError::Server {
+                    code: ErrorCode::UnknownSession,
+                    ..
+                }) => None,
+                Err(e) => return Err(e),
+            }
         };
         let recalibrated = recalibrations(&route.checkpoint);
         let remote = match promoted {
@@ -588,8 +740,9 @@ impl ClusterClient {
         a: &[f64],
         b: &[f64],
     ) -> Result<u64> {
-        let shard = self.route(key)?.shard;
-        if self.ring.addr_of(shard).is_some() {
+        let route = self.route(key)?;
+        let shard = route.shard;
+        if route.backup.is_none() {
             match self.try_recalibrate(key, state_dim, input_dim, a, b) {
                 Ok(count) => return Ok(count),
                 Err(e) if transport_failure(&e) => self.fail_shard(shard),
@@ -635,10 +788,11 @@ impl ClusterClient {
         self.route(key).map(|r| &r.checkpoint)
     }
 
-    /// Closes the session on its primary and forgets the route. Any
-    /// replica the backup still holds becomes garbage it will reject
-    /// or overwrite on key reuse; it is never promoted (only this
-    /// client knows the key).
+    /// Closes the session on its primary and forgets the route. A
+    /// session whose primary has failed and that has not been rebuilt
+    /// yet is forgotten without a round trip. Any replica the backup
+    /// still holds becomes garbage it will reject or overwrite on key
+    /// reuse; it is never promoted (only this client knows the key).
     ///
     /// # Errors
     ///
@@ -649,8 +803,8 @@ impl ClusterClient {
             .routes
             .remove(&key)
             .ok_or(ClusterError::UnknownSession(key))?;
-        if self.ring.addr_of(route.shard).is_none() {
-            // The primary is already gone, and with it the session.
+        if route.backup.is_some() {
+            // The session died with its primary's connection.
             return Ok(());
         }
         self.conn(route.shard)?.close_session(route.remote)?;

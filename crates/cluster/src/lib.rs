@@ -26,12 +26,15 @@
 //!   fail-fast) promotes the backup's replica — or restores its own
 //!   checkpoint — replays the log, and delivers the interrupted
 //!   batch, so the caller-visible outcome stream is
-//!   **byte-identical** to an uninterrupted run.
+//!   **byte-identical** to an uninterrupted run. The last member of a
+//!   ring has no backup, so its sessions recover in place: the client
+//!   reconnects under its [`RetryPolicy`] and restores them there —
+//!   a one-member ring is the workspace's reconnecting client.
 //!   [`ClusterClient::drain_shard`] live-migrates every session off a
 //!   member with zero dropped ticks.
 //! * [`shard`] — [`LocalCluster`], an in-process N-shard launcher
 //!   (each shard one single-threaded `awsad_net::NetServer`) used by
-//!   the tests, the testkit's seventh oracle path, and the
+//!   the tests, the testkit's `cluster` oracle path, and the
 //!   `cluster_failover` benchmark.
 //!
 //! # Quickstart
@@ -66,7 +69,7 @@ pub mod replicator;
 pub mod ring;
 pub mod shard;
 
-pub use client::{ClusterClient, ClusterError, ClusterSession, Recoveries};
+pub use client::{ClusterClient, ClusterError, ClusterSession, Recoveries, RetryPolicy};
 pub use replicator::Replicator;
 pub use ring::{replica_key, HashRing, VNODES};
 pub use shard::{LocalCluster, ShardHandle};

@@ -1,6 +1,6 @@
 //! In-process cluster launcher: N shard servers wired for
-//! replication, used by the tests, the differential oracle's seventh
-//! path, and the failover benchmark. Each shard is one
+//! replication, used by the tests, the differential oracle's
+//! `cluster` path, and the failover benchmark. Each shard is one
 //! [`NetServer`] with one I/O shard, so a cluster shard is one event
 //! loop on one thread.
 

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use awsad_cluster::{ClusterClient, LocalCluster, Recoveries, Replicator};
+use awsad_cluster::{ClusterClient, LocalCluster, Recoveries, Replicator, RetryPolicy};
 use awsad_core::AdaptiveStep;
 use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::Client;
@@ -572,13 +572,20 @@ fn draining_a_shard_moves_its_sessions_with_zero_dropped_ticks() {
 
 #[test]
 fn failover_exhaustion_surfaces_as_no_shards() {
-    // A single-shard "cluster" has no backup: killing the shard must
-    // produce a loud routing error, never a hang or silent loss.
+    // A single-shard "cluster" has no backup: killing the shard for
+    // good must exhaust the in-place recovery's retries and produce a
+    // loud routing error, never a hang or silent loss.
     let seed = SeedSpec::registry(7).with_len(16);
     let scenario = Scenario::from_seed(&seed);
     let spec = scenario.spec.as_ref().expect("registry scenario");
     let mut cluster = LocalCluster::launch(1, ServerConfig::default()).expect("launch");
-    let mut client = cluster.client();
+    let policy = RetryPolicy {
+        max_retries: 2,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(5),
+        seed: 7,
+    };
+    let mut client = ClusterClient::with_policy(cluster.ring().clone(), policy);
     let session = client.open_session(spec).expect("open");
     client
         .tick_batch(session.key, &scenario.trace[..4])

@@ -19,10 +19,10 @@
 //!   cross-shard locks anywhere on the tick path; the one cross-shard
 //!   operation is the `MetricsQuery` merge.
 //!
-//! The clients — `awsad_serve::client::Client`,
-//! `awsad_serve::reconnect::ReconnectingClient` — drive it; the
-//! `awsad-testkit` differential oracles hold its outcome streams
-//! bit-identical to stepping the detector directly.
+//! The clients — `awsad_serve::client::Client` and the recovering
+//! `awsad_cluster::ClusterClient` — drive it; the `awsad-testkit`
+//! differential oracles hold its outcome streams bit-identical to
+//! stepping the detector directly.
 //!
 //! # Quickstart
 //!

@@ -3,10 +3,11 @@
 //!
 //! The load-bearing guarantees proven here:
 //!
-//! * truncated-mid-frame and dropped replies are survived: the
-//!   `ReconnectingClient` restores the session from its checkpoint and
-//!   the resumed `AdaptiveStep` stream is byte-identical to an
-//!   uninterrupted direct-engine run of the same bias attack;
+//! * truncated-mid-frame and dropped replies are survived: a
+//!   `ClusterClient` over a one-member ring restores the session from
+//!   its checkpoint in place, replays its tick log, and the resumed
+//!   `AdaptiveStep` stream is byte-identical to an uninterrupted
+//!   direct-engine run of the same bias attack;
 //! * a reply arriving after the client's reply timeout can never be
 //!   misattributed to the next call (the legacy call pattern
 //!   demonstrably misattributes it; the client poisons itself
@@ -21,11 +22,11 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use awsad_cluster::{ClusterClient, HashRing, RetryPolicy};
 use awsad_core::AdaptiveStep;
 use awsad_net::{NetServer, NetServerConfig};
 use awsad_serve::client::{Client, ClientError};
-use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
-use awsad_serve::wire::{self, Frame, SessionSpec, WireOutcome};
+use awsad_serve::wire::{self, Frame, RingMember, SessionSpec, WireOutcome};
 use awsad_testkit::proxy::{FaultPlan, FaultProxy, ReplyFault};
 
 use support::{direct_engine_steps, pinned_trace, wait_for};
@@ -64,11 +65,15 @@ fn assert_stream_matches(outcomes: &[WireOutcome], trace_len: usize, direct: &[A
 #[test]
 fn truncated_and_dropped_replies_are_survived_byte_identically() {
     let server = bind();
-    // Connection 1: hello, open, batch 1, checkpoint 1 forwarded, then
-    // batch 2's reply is cut mid-frame (6 bytes = prefix + 2 bytes of
-    // body). Connection 2: hello, restore, batch-2 replay, checkpoint
-    // forwarded, then batch 3's reply is swallowed whole. Connection 3
-    // runs clean.
+    // Connection 1: hello, open, the open-time checkpoint and batch 1
+    // forwarded, then batch 1's checkpoint (always taken: the open-time
+    // one has no payload) is cut mid-frame (6 bytes = prefix + 2 bytes
+    // of body); batch 1 is delivered and the session pinned.
+    // Connection 2, at batch 2: hello, restore, the batch-1 replay and
+    // batch 2 forwarded, then batch 2's checkpoint (due: the log holds
+    // 80 ticks) is swallowed whole. Connection 3, at batch 3, restores
+    // the open-time checkpoint again, replays both batches and runs
+    // clean.
     let proxy = FaultProxy::start(
         server.local_addr(),
         vec![
@@ -77,16 +82,26 @@ fn truncated_and_dropped_replies_are_survived_byte_identically() {
         ],
     );
 
-    let mut rc = ReconnectingClient::connect(proxy.addr(), test_policy()).unwrap();
-    let session = rc.open_session(&SessionSpec::model_defaults(2)).unwrap();
+    let member = RingMember {
+        shard: 0,
+        addr: proxy.addr().to_string(),
+    };
+    let mut client = ClusterClient::with_policy(HashRing::new(1, vec![member]), test_policy());
+    let session = client
+        .open_session(&SessionSpec::model_defaults(2))
+        .unwrap();
 
     let trace = pinned_trace(120);
     let mut outcomes = Vec::new();
     for chunk in trace.chunks(40) {
-        outcomes.extend(rc.tick_batch(session.id, chunk).unwrap());
+        outcomes.extend(client.tick_batch(session.key, chunk).unwrap());
     }
 
-    assert_eq!(rc.reconnects(), 2, "one reconnect per injected fault");
+    assert_eq!(
+        client.recoveries().restored,
+        2,
+        "one in-place restore per injected fault"
+    );
     assert_stream_matches(&outcomes, trace.len(), &direct_engine_steps(&trace));
     drop(proxy);
     server.shutdown();

@@ -5,9 +5,10 @@
 //! * the `AdaptiveStep` stream a client receives from [`NetServer`]
 //!   is **byte-identical** to stepping a local `DetectionEngine` on
 //!   the same pinned scenario — on both poller backends;
-//! * unmodified `awsad_serve` clients (blocking and reconnecting)
-//!   drive the server, including snapshot/restore across a
-//!   kill-and-restart;
+//! * the blocking `awsad_serve` client and a one-member-ring
+//!   `awsad_cluster::ClusterClient` drive the server, including
+//!   snapshot/restore across a kill-and-restart, and each of the
+//!   router's sessions recovers in place on its own next call;
 //! * frames torn across arbitrarily many wakeups decode to the same
 //!   replies as whole frames, and the resumes are counted;
 //! * pipelined requests answer strictly in order with correlation
@@ -23,15 +24,16 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use awsad_cluster::{ClusterClient, ClusterError, HashRing, Recoveries, RetryPolicy};
 use awsad_core::AdaptiveStep;
 use awsad_models::Simulator;
 use awsad_net::{NetServer, NetServerConfig};
 use awsad_runtime::{BackpressurePolicy, EngineConfig};
 use awsad_serve::client::{Client, ClientError};
-use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
 use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{
-    read_envelope, write_frame_corr, ErrorCode, Frame, SessionSpec, DEFAULT_MAX_FRAME_LEN,
+    read_envelope, write_frame_corr, ErrorCode, Frame, RingMember, SessionSpec, WireOutcome,
+    DEFAULT_MAX_FRAME_LEN,
 };
 
 use support::{direct_engine_steps, pinned_trace, wait_for};
@@ -435,6 +437,24 @@ fn hostile_numbers_cross_tick_frames_and_a_snapshot_round_trip() {
     server.shutdown();
 }
 
+/// A router over a one-member ring on `addr`: the member has no
+/// successor, so its sessions recover in place.
+fn one_member_client(addr: std::net::SocketAddr, policy: RetryPolicy) -> ClusterClient {
+    let member = RingMember {
+        shard: 0,
+        addr: addr.to_string(),
+    };
+    ClusterClient::with_policy(HashRing::new(1, vec![member]), policy)
+}
+
+fn assert_resumed_stream(outcomes: &[WireOutcome], want: &[AdaptiveStep]) {
+    for (i, o) in outcomes.iter().enumerate() {
+        assert_eq!(o.seq, i as u64, "seq discontinuity at {i}");
+    }
+    let steps: Vec<AdaptiveStep> = outcomes.iter().map(|o| o.to_step()).collect();
+    assert_eq!(steps, want);
+}
+
 #[test]
 fn reconnecting_client_survives_net_server_kill_and_restart() {
     let config = two_shard_config();
@@ -447,8 +467,10 @@ fn reconnecting_client_survives_net_server_kill_and_restart() {
         max_delay: Duration::from_millis(100),
         seed: 7,
     };
-    let mut rc = ReconnectingClient::connect(addr, policy).unwrap();
-    let session = rc.open_session(&SessionSpec::model_defaults(2)).unwrap();
+    let mut client = one_member_client(addr, policy);
+    let session = client
+        .open_session(&SessionSpec::model_defaults(2))
+        .unwrap();
 
     let trace = pinned_trace(120);
     let mut outcomes = Vec::new();
@@ -460,15 +482,73 @@ fn reconnecting_client_survives_net_server_kill_and_restart() {
             drop(old);
             server = Some(NetServer::bind(addr, config.clone()).unwrap());
         }
-        outcomes.extend(rc.tick_batch(session.id, chunk).unwrap());
+        outcomes.extend(client.tick_batch(session.key, chunk).unwrap());
     }
-    assert!(rc.reconnects() >= 1, "the kill must force a reconnect");
-    for (i, o) in outcomes.iter().enumerate() {
-        assert_eq!(o.seq, i as u64, "seq discontinuity at {i}");
-    }
-    let steps: Vec<AdaptiveStep> = outcomes.iter().map(|o| o.to_step()).collect();
-    assert_eq!(steps, direct_engine_steps(&trace));
+    assert!(
+        client.recoveries().restored >= 1,
+        "the kill must force an in-place restore"
+    );
+    assert_resumed_stream(&outcomes, &direct_engine_steps(&trace));
     server.unwrap().shutdown();
+}
+
+#[test]
+fn sessions_on_a_one_member_ring_each_recover_on_their_own_next_call() {
+    let config = two_shard_config();
+    let server = NetServer::bind("127.0.0.1:0", config.clone()).unwrap();
+    let addr = server.local_addr();
+    let policy = RetryPolicy {
+        max_retries: 3,
+        base_delay: Duration::from_millis(2),
+        max_delay: Duration::from_millis(10),
+        seed: 7,
+    };
+    let mut client = one_member_client(addr, policy);
+    let spec = SessionSpec::model_defaults(2);
+    let keys = [0, 1].map(|_| client.open_session(&spec).unwrap().key);
+    let restored = |n| Recoveries {
+        restored: n,
+        ..Recoveries::default()
+    };
+
+    let trace = pinned_trace(120);
+    let mut streams = [Vec::new(), Vec::new()];
+    let mut server = Some(server);
+    for (i, chunk) in trace.chunks(10).enumerate() {
+        if i == 5 {
+            // Both sessions lose their server-side state at once.
+            let old = server.take().unwrap();
+            old.shutdown();
+            drop(old);
+            server = Some(NetServer::bind(addr, config.clone()).unwrap());
+        }
+        for (s, (key, stream)) in keys.iter().zip(&mut streams).enumerate() {
+            stream.extend(client.tick_batch(*key, chunk).unwrap());
+            if i == 5 {
+                // The first session's failed call pinned both; each
+                // is restored by its own call, not at reconnect.
+                assert_eq!(client.recoveries(), restored(s as u64 + 1));
+            }
+        }
+    }
+    assert_eq!(client.recoveries(), restored(2));
+    let want = direct_engine_steps(&trace);
+    for stream in &streams {
+        assert_resumed_stream(stream, &want);
+    }
+
+    // Kill the server for good: the next call exhausts its retries and
+    // leaves both routes pinned, and closing a pinned route needs no
+    // round trip.
+    server.unwrap().shutdown();
+    let err = client
+        .tick_batch(keys[0], &trace[..1])
+        .expect_err("no server is listening");
+    assert!(matches!(err, ClusterError::NoShards), "got {err:?}");
+    for key in keys {
+        client.close_session(key).unwrap();
+    }
+    assert_eq!(client.recoveries(), restored(2));
 }
 
 #[test]

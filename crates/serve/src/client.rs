@@ -21,8 +21,8 @@
 //! client **poisoned**: the stream position is unknown, so every
 //! subsequent call fails fast with [`ClientError::Poisoned`] instead
 //! of reading a stale frame. A poisoned client cannot be revived —
-//! reconnect (or use [`crate::ReconnectingClient`], which does so
-//! automatically and restores sessions from snapshots).
+//! reconnect (or use `awsad_cluster::ClusterClient`, which does so
+//! automatically and restores sessions from its checkpoints).
 //!
 //! Typed [`ClientError::Server`] errors do *not* poison: they are
 //! well-framed replies on a still-synchronized stream.

@@ -5,7 +5,7 @@
 //! monitors remote plants, which means measurements arrive over a
 //! network, hostile bytes are a fact of life, and per-tick cost must
 //! stay bounded even under malformed traffic. This crate adds that
-//! boundary in four layers:
+//! boundary in three layers:
 //!
 //! * [`wire`] — a versioned, length-prefixed **binary wire protocol**
 //!   (magic + version + frame type). Floats travel as IEEE-754 bit
@@ -24,14 +24,10 @@
 //!   `serve_loopback` throughput bench and the cluster router. Every
 //!   request carries a correlation id the server echoes, and a
 //!   mid-stream failure poisons the client rather than risking reply
-//!   misattribution.
-//! * [`reconnect`] — [`ReconnectingClient`], which makes detection
-//!   sessions survive connection failure: it checkpoints each session
-//!   (`SnapshotSession`) after every batch, reconnects with
-//!   decorrelated-jitter backoff, restores sessions
-//!   (`RestoreSession`) on the fresh connection, and replays the
-//!   interrupted batch — the resumed outcome stream is byte-identical
-//!   to an uninterrupted run, even across a server restart.
+//!   misattribution. Sessions that survive connection failure are
+//!   the cluster router's job: `awsad_cluster::ClusterClient`
+//!   checkpoints (`SnapshotSession`), reconnects and restores
+//!   (`RestoreSession`), even over a one-member ring.
 //!
 //! A server answers [`wire::Frame::MetricsQuery`] with the engine's
 //! [`awsad_runtime::RuntimeMetrics`] plus its own transport counters
@@ -62,12 +58,10 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod reconnect;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError, RemoteSession};
-pub use reconnect::{ReconnectingClient, RetryPolicy};
 pub use server::{ReplicationSink, ReplicationUpdate, ServerConfig, TransportMetrics};
 pub use wire::{
     ErrorCode, Frame, RingMember, SessionSpec, WireError, WireLatency, WireMetrics, WireOutcome,

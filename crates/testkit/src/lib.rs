@@ -4,12 +4,12 @@
 //! [`awsad_core::AdaptiveStep`] stream — direct
 //! [`awsad_core::AdaptiveDetector`] stepping, the runtime engine with
 //! and without its deadline cache, snapshot/restore, the wire path
-//! through the `awsad-net` event-loop server,
-//! [`awsad_serve::ReconnectingClient`] resume, the cluster router
-//! across a shard kill, and cross-session batch stepping, each with
-//! mid-stream recalibration where the scenario has one. This crate
-//! pins them to each other with a generator + oracle harness instead
-//! of hand-picked models and traces:
+//! through the `awsad-net` event-loop server, an in-place resume by
+//! the [`awsad_cluster::ClusterClient`] over a one-member ring, the
+//! cluster router across a shard kill, and cross-session batch
+//! stepping, each with mid-stream recalibration where the scenario
+//! has one. This crate pins them to each other with a generator +
+//! oracle harness instead of hand-picked models and traces:
 //!
 //! * [`scenario`] — seeded scenario generators: random stable and
 //!   marginal LTI plants with controlled spectral radius, random PID

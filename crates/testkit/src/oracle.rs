@@ -14,14 +14,13 @@
 //! | `engine-nocache` | the scenario has a deadline cache | the engine with the cache stripped |
 //! | `snapshot` | always | snapshot at a seed-derived cut, restore into a fresh engine |
 //! | `net` | the scenario has a wire spec | an `awsad-net` server and its incremental decoder |
-//! | `resume` | a wire spec and no recalibration | [`ReconnectingClient`] through a fault proxy that severs the connection |
+//! | `resume` | the scenario has a wire spec | a one-member [`ClusterClient`] through a fault proxy that severs the connection, recovering in place |
 //! | `cluster` | the scenario has a wire spec | a fresh 3-shard [`LocalCluster`] with the session's primary killed |
 //! | `batch` | always | the whole chunk in one cross-session-batch engine |
 //!
 //! A scenario with a recalibration (the drift family) swaps its plant
 //! model at its precomputed boundary on every path, direct stepping
-//! included; `resume` skips it, because [`ReconnectingClient`] has no
-//! recalibrate operation. Floats travel the wire as their IEEE-754 bit
+//! included. Floats travel the wire as their IEEE-754 bit
 //! patterns and every state copy is bit-exact, so the streams must be
 //! **equal**, not approximately equal. A mismatch is reported with the
 //! failing scenario's seed, so the exact episode replays from one
@@ -33,7 +32,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use awsad_cluster::{ClusterClient, LocalCluster, Recoveries};
+use awsad_cluster::{ClusterClient, HashRing, LocalCluster, Recoveries, RetryPolicy};
 use awsad_core::AdaptiveStep;
 use awsad_linalg::Vector;
 use awsad_reach::{CacheConfig, DeadlineCache, DeadlineEstimator};
@@ -41,7 +40,6 @@ use awsad_runtime::{
     DetectionEngine, EngineConfig, RuntimeMetrics, SessionHandle, Tick, TickOutcome,
 };
 use awsad_serve::client::Client;
-use awsad_serve::reconnect::{ReconnectingClient, RetryPolicy};
 use awsad_serve::server::ServerConfig;
 use awsad_serve::wire::{RingMember, WireOutcome, WireTick};
 use awsad_serve::{ReplicationSink, ReplicationUpdate};
@@ -405,43 +403,119 @@ fn net_steps(scenario: &Scenario, addr: SocketAddr) -> Result<Vec<AdaptiveStep>,
     wire_steps(scenario, "net", &outcomes)
 }
 
-/// Reconnect/resume: stream through a fault-injection proxy that
-/// swallows one mid-stream reply and severs the connection; the
-/// [`ReconnectingClient`] must checkpoint, reconnect, restore, and
-/// replay so the caller-visible stream is identical anyway.
+/// Streams the scenario through `client`'s session `key` in
+/// `chunk`-tick batches, split at `split`: the scenario's
+/// recalibration, sent through [`ClusterClient::recalibrate`] and
+/// acked with count 1 (the session is fresh), lands at the split
+/// (which a scenario with one puts at its boundary), and `at_split`
+/// runs right after it.
+fn cluster_stream(
+    scenario: &Scenario,
+    path: &'static str,
+    client: &mut ClusterClient,
+    key: u64,
+    chunk: usize,
+    split: usize,
+    at_split: impl FnOnce(&mut ClusterClient) -> Result<(), OracleError>,
+) -> Result<Vec<WireOutcome>, OracleError> {
+    let fail = |detail: String| OracleError::new(scenario, path, detail);
+    let mut outcomes = Vec::new();
+    let mut stream = |client: &mut ClusterClient, ticks: &[WireTick]| {
+        for batch in ticks.chunks(chunk) {
+            outcomes.extend(
+                client
+                    .tick_batch(key, batch)
+                    .map_err(|e| fail(format!("tick_batch: {e}")))?,
+            );
+        }
+        Ok::<_, OracleError>(())
+    };
+    let (head, tail) = scenario.trace.split_at(split);
+    stream(client, head)?;
+    if let Some((_, recal)) = recalibration(scenario) {
+        let (n, m) = recal.b.shape();
+        let count = client
+            .recalibrate(
+                key,
+                n as u32,
+                m as u32,
+                recal.a.as_slice(),
+                recal.b.as_slice(),
+            )
+            .map_err(|e| fail(format!("recalibrate: {e}")))?;
+        if count != 1 {
+            return Err(fail(format!("fresh session acked recalibration #{count}")));
+        }
+    }
+    at_split(client)?;
+    stream(client, tail)?;
+    Ok(outcomes)
+}
+
+/// Reconnect/resume: a one-member ring reached through a
+/// fault-injection proxy that swallows one reply and severs the
+/// connection. The member has no ring successor, so the
+/// [`ClusterClient`] must recover the session in place — reconnect,
+/// restore its checkpoint, replay its tick log — and the
+/// caller-visible stream must be identical anyway, across the
+/// scenario's recalibration too.
 fn resume_steps(scenario: &Scenario, addr: SocketAddr) -> Result<Vec<AdaptiveStep>, OracleError> {
     let spec = scenario
         .spec
         .as_ref()
         .expect("the resume path needs a spec");
     let fail = |detail: String| OracleError::new(scenario, "resume", detail);
-    // Reply order on connection 1: hello(0), open(1), batch 1(2),
-    // checkpoint(3), batch 2(4) — swallow batch 2's reply, forcing a
-    // restore-and-replay on connection 2 (unplanned → clean).
-    let proxy = FaultProxy::start(addr, vec![FaultPlan::after(4, ReplyFault::Drop)]);
+    let len = scenario.trace.len();
+    let chunk = (len / 4).max(1);
+    let swap = recalibration(scenario);
+    let at = swap.map_or(len, |(at, _)| at);
+    let calls = at.div_ceil(chunk) + usize::from(swap.is_some()) + (len - at).div_ceil(chunk);
+    // Replies on connection 1: hello(0), open(1), the open-time
+    // checkpoint(2), call 1(3), call 1's checkpoint(4) — always taken,
+    // as a fresh checkpoint has no payload — and call 2(5). The seed
+    // coin drops reply 4 on even seeds (call 1 was delivered and its
+    // route pinned, so call 2 recovers before it sends) and reply 5 on
+    // odd ones (call 2 recovers by itself). A one-call stream always
+    // loses reply 4, as its reply 5 is the close. Connection 2 is
+    // clean.
+    let odd = scenario.seed.seed & 1 == 1;
+    let dropped = 4 + usize::from(odd && calls >= 2);
+    let proxy = FaultProxy::start(addr, vec![FaultPlan::after(dropped, ReplyFault::Drop)]);
     let policy = RetryPolicy {
         max_retries: 20,
         base_delay: Duration::from_millis(5),
         max_delay: Duration::from_millis(50),
         seed: scenario.seed.seed | 1,
     };
-    let mut rc = ReconnectingClient::connect(proxy.addr(), policy)
-        .map_err(|e| fail(format!("connect: {e}")))?;
-    let session = rc
+    let member = RingMember {
+        shard: 0,
+        addr: proxy.addr().to_string(),
+    };
+    let mut client = ClusterClient::with_policy(HashRing::new(1, vec![member]), policy);
+    let session = client
         .open_session(spec)
         .map_err(|e| fail(format!("open: {e}")))?;
-    let chunk = (scenario.trace.len() / 4).max(1);
-    let mut outcomes = Vec::new();
-    for batch in scenario.trace.chunks(chunk) {
-        outcomes.extend(
-            rc.tick_batch(session.id, batch)
-                .map_err(|e| fail(format!("tick_batch: {e}")))?,
-        );
-    }
-    rc.close_session(session.id)
+    let outcomes = cluster_stream(
+        scenario,
+        "resume",
+        &mut client,
+        session.key,
+        chunk,
+        at,
+        |_| Ok(()),
+    )?;
+    client
+        .close_session(session.key)
         .map_err(|e| fail(format!("close: {e}")))?;
-    if scenario.trace.len() >= 2 * chunk && rc.reconnects() == 0 {
-        return Err(fail("fault plan never forced a reconnect".into()));
+    let want = Recoveries {
+        restored: 1,
+        ..Recoveries::default()
+    };
+    if calls >= 2 && client.recoveries() != want {
+        return Err(fail(format!(
+            "{calls} calls past a dropped reply {dropped} ran {:?}, not one in-place restore",
+            client.recoveries()
+        )));
     }
     wire_steps(scenario, "resume", &outcomes)
 }
@@ -529,49 +603,35 @@ fn cluster_steps(scenario: &Scenario) -> Result<ClusterRun, OracleError> {
         .map_err(|e| fail(format!("open: {e}")))?;
     let len = scenario.trace.len();
     let chunk = (len / 4).max(1);
-    let swap = recalibration(scenario);
-    let kill_at = match swap {
+    let kill_at = match recalibration(scenario) {
         Some((at, _)) => at,
         None if restore => 0,
         None => 2 * chunk,
     };
-    let mut outcomes = Vec::new();
-    let mut stream = |client: &mut ClusterClient, ticks: &[WireTick]| {
-        for batch in ticks.chunks(chunk) {
-            outcomes.extend(
-                client
-                    .tick_batch(session.key, batch)
-                    .map_err(|e| fail(format!("tick_batch: {e}")))?,
-            );
-        }
-        Ok::<_, OracleError>(())
-    };
-    stream(&mut client, &scenario.trace[..kill_at.min(len)])?;
-    if let Some((_, recal)) = swap {
-        let (n, m) = recal.b.shape();
-        client
-            .recalibrate(
-                session.key,
-                n as u32,
-                m as u32,
-                recal.a.as_slice(),
-                recal.b.as_slice(),
-            )
-            .map_err(|e| fail(format!("recalibrate: {e}")))?;
-    }
     let killed = kill_at < len;
-    if killed {
-        let primary = client
-            .primary_of(session.key)
-            .ok_or_else(|| fail("session lost its route".into()))?;
-        if !restore {
-            if let Some(shard) = cluster.shard(primary) {
-                shard.replicator.flush(Duration::from_secs(5));
+    let kill = |client: &mut ClusterClient| {
+        if killed {
+            let primary = client
+                .primary_of(session.key)
+                .ok_or_else(|| fail("session lost its route".into()))?;
+            if !restore {
+                if let Some(shard) = cluster.shard(primary) {
+                    shard.replicator.flush(Duration::from_secs(5));
+                }
             }
+            cluster.kill(primary);
         }
-        cluster.kill(primary);
-        stream(&mut client, &scenario.trace[kill_at..])?;
-    }
+        Ok(())
+    };
+    let outcomes = cluster_stream(
+        scenario,
+        "cluster",
+        &mut client,
+        session.key,
+        chunk,
+        kill_at.min(len),
+        kill,
+    )?;
     let recoveries = client.recoveries();
     if killed && !(recoveries.total() == 1 && (recoveries.restored == 1) == restore) {
         return Err(fail(format!(
@@ -740,9 +800,7 @@ pub fn check_paths(chunk: &[Scenario], server: SocketAddr) -> Result<PathsReport
         diff("snapshot", snapshot_restore_steps(scenario, cut)?)?;
         if scenario.spec.is_some() {
             diff("net", net_steps(scenario, server)?)?;
-            if scenario.recalibration.is_none() {
-                diff("resume", resume_steps(scenario, server)?)?;
-            }
+            diff("resume", resume_steps(scenario, server)?)?;
             let run = cluster_steps(scenario)?;
             report.recoveries += run.recoveries;
             diff("cluster", run.steps)?;

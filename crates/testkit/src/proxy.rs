@@ -50,7 +50,8 @@ impl FaultPlan {
 }
 
 /// A running fault-injection proxy; dropping it stops the accept
-/// loop (live pipes die when their sockets close).
+/// loop, which blocks in `accept` until a connect to the proxy's own
+/// listener wakes it (live pipes die when their sockets close).
 pub struct FaultProxy {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -63,37 +64,28 @@ impl FaultProxy {
     pub fn start(upstream: SocketAddr, plans: Vec<FaultPlan>) -> FaultProxy {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
         let addr = listener.local_addr().expect("proxy addr");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let plans = Mutex::new(VecDeque::from(plans));
         let accept = thread::spawn(move || loop {
+            let accepted = listener.accept();
             if flag.load(Ordering::SeqCst) {
                 return;
             }
-            match listener.accept() {
-                Ok((client, _)) => {
-                    if client.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    let plan = plans
-                        .lock()
-                        .expect("plans lock")
-                        .pop_front()
-                        .unwrap_or_default();
-                    let Ok(up) = TcpStream::connect(upstream) else {
-                        let _ = client.shutdown(Shutdown::Both);
-                        continue;
-                    };
-                    spawn_pipes(client, up, plan);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(5)),
-            }
+            let Ok((client, _)) = accepted else {
+                thread::sleep(Duration::from_millis(5));
+                continue;
+            };
+            let plan = plans
+                .lock()
+                .expect("plans lock")
+                .pop_front()
+                .unwrap_or_default();
+            let Ok(up) = TcpStream::connect(upstream) else {
+                let _ = client.shutdown(Shutdown::Both);
+                continue;
+            };
+            spawn_pipes(client, up, plan);
         });
         FaultProxy {
             addr,
@@ -112,7 +104,10 @@ impl Drop for FaultProxy {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            // Wake the blocked accept; it sees the flag and returns.
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = handle.join();
+            }
         }
     }
 }

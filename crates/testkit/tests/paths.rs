@@ -132,7 +132,7 @@ fn registry_chunks_of_eight_agree_on_every_path() {
 /// Drift scenarios recalibrate to the drifted model at their
 /// precomputed boundary on every path; the cluster kill lands right
 /// after the swap, so both recovery branches resume on the drifted
-/// model.
+/// model, and the in-place resume recovers across the swap.
 #[test]
 fn drift_scenarios_recalibrate_bit_identically_on_every_path() {
     run_corpus(0x9_5EED, 100, 1, |_, s| SeedSpec::drift(s));
@@ -141,17 +141,25 @@ fn drift_scenarios_recalibrate_bit_identically_on_every_path() {
 #[test]
 fn the_report_names_the_paths_each_scenario_ran() {
     let server = bind_server();
-    let chunk =
-        [SeedSpec::registry(0x5EED), SeedSpec::random_lti(0x5EED)].map(|s| Scenario::from_seed(&s));
+    let chunk = [
+        SeedSpec::registry(0x5EED),
+        SeedSpec::random_lti(0x5EED),
+        SeedSpec::drift(0x5EED),
+    ]
+    .map(|s| Scenario::from_seed(&s));
     let PathsReport { scenarios, .. } =
-        check_paths(&chunk, server.local_addr()).expect("both scenarios agree");
+        check_paths(&chunk, server.local_addr()).expect("every scenario agrees");
     server.shutdown();
-    let [(_, registry), (_, lti)] = &scenarios[..] else {
+    let [(_, registry), (_, lti), (_, drift)] = &scenarios[..] else {
         panic!("one entry per scenario: {scenarios:?}");
     };
     assert!(
         registry.contains(&"cluster") && registry.contains(&"batch"),
         "registry: {registry:?}"
+    );
+    assert!(
+        drift.contains(&"resume") && drift.contains(&"cluster"),
+        "a drift scenario recalibrates on every wire path: {drift:?}"
     );
     assert!(lti.contains(&"batch"), "lti: {lti:?}");
     assert!(

@@ -40,9 +40,9 @@
 //! | [`models`] | `awsad-models` | the five Table 1 simulators + RC-car testbed |
 //! | [`sim`] | `awsad-sim` | closed-loop episodes, Monte-Carlo cells, sweeps, metrics |
 //! | [`runtime`] | `awsad-runtime` | multi-session streaming engine: worker pool, bounded queues, deadline cache wiring, metrics |
-//! | [`serve`] | `awsad-serve` | detection-as-a-service: binary wire protocol, server configuration, blocking + reconnecting clients, session snapshot/resume |
+//! | [`serve`] | `awsad-serve` | detection-as-a-service: binary wire protocol, server configuration, blocking client, session snapshot/resume |
 //! | [`net`] | `awsad-net` | the detection server: epoll event loop over I/O shards with per-shard engines, incremental frame decode, vectored writes |
-//! | [`cluster`] | `awsad-cluster` | consistent-hash session sharding: snapshot replication to ring successors, backup promotion on shard failure, live drain migration |
+//! | [`cluster`] | `awsad-cluster` | consistent-hash session sharding: snapshot replication to ring successors, backup promotion on shard failure, in-place recovery on the last member, live drain migration |
 //!
 //! ## Quickstart
 //!
@@ -85,7 +85,7 @@ pub mod prelude {
         AttackWindow, BiasAttack, ChainedAttack, DelayAttack, NoAttack, RampAttack,
         RandomValueAttack, ReplayAttack, SensorAttack,
     };
-    pub use awsad_cluster::{ClusterClient, HashRing, LocalCluster};
+    pub use awsad_cluster::{ClusterClient, HashRing, LocalCluster, RetryPolicy};
     pub use awsad_control::{
         Controller, LqrController, PidChannel, PidController, PidGains, Reference,
     };
@@ -108,9 +108,7 @@ pub mod prelude {
         BackpressurePolicy, DetectionEngine, EngineConfig, RuntimeMetrics, SessionHandle,
         SessionId, SessionSnapshot, Tick, TickOutcome, WorkerPool,
     };
-    pub use awsad_serve::{
-        Client, ReconnectingClient, RetryPolicy, ServerConfig, SessionSpec, WireOutcome, WireTick,
-    };
+    pub use awsad_serve::{Client, ServerConfig, SessionSpec, WireOutcome, WireTick};
     pub use awsad_sets::{Ball, BoxSet, Halfspace, Interval, Polytope, Support};
     pub use awsad_sim::{
         evaluate, run_benign_cell, run_cell, run_cells_on, run_cells_parallel, run_episode,
