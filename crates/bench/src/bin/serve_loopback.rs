@@ -568,11 +568,12 @@ fn serve_epoll(model: &awsad_models::CpsModel) -> (Json, bool) {
     let status = child.wait().expect("epoll server child exit");
     assert!(status.success(), "epoll server child failed: {status}");
 
-    assert_eq!(wm.shards, EPOLL_SHARDS as u64, "shard count over the wire");
-    assert_eq!(wm.decode_errors, 0, "decode errors under honest load");
-    assert_eq!(wm.sessions_evicted, 0, "no TTL evictions configured");
-    assert_eq!(wm.sessions_active, 0, "all sessions closed");
-    assert!(wm.connections_opened >= nconns as u64);
+    let counter = |name| wm.counter(name).expect(name);
+    assert_eq!(counter("shards"), EPOLL_SHARDS as u64, "shard count");
+    assert_eq!(counter("decode_errors"), 0, "honest load");
+    assert_eq!(counter("sessions_evicted"), 0, "no TTL configured");
+    assert_eq!(counter("sessions_active"), 0, "all sessions closed");
+    assert!(counter("connections_opened") >= nconns as u64);
 
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let p50 = percentile(&latencies, 0.50);
@@ -615,10 +616,13 @@ fn serve_epoll(model: &awsad_models::CpsModel) -> (Json, bool) {
         ("alarms".into(), Json::Int(alarms as u64)),
         (
             "partial_frame_resumes".into(),
-            Json::Int(wm.partial_frame_resumes),
+            Json::Int(counter("partial_frame_resumes")),
         ),
-        ("decode_errors".into(), Json::Int(wm.decode_errors)),
-        ("sessions_evicted".into(), Json::Int(wm.sessions_evicted)),
+        ("decode_errors".into(), Json::Int(counter("decode_errors"))),
+        (
+            "sessions_evicted".into(),
+            Json::Int(counter("sessions_evicted")),
+        ),
         ("matches_direct_engine".into(), Json::Bool(true)),
     ]);
     (report, meets_target)
@@ -667,6 +671,8 @@ fn main() -> ExitCode {
 
     let metrics = client.metrics().expect("metrics");
     server.shutdown();
+    let counter = |name| Json::Int(metrics.counter(name).expect(name));
+    let latency = |name| latency_json(metrics.latency(name).expect(name));
 
     // Fault-tolerance section: its own server instance, so the kill
     // cycles cannot disturb the throughput gate above.
@@ -691,26 +697,22 @@ fn main() -> ExitCode {
         ("alarms".into(), Json::Int(alarms as u64)),
         ("matches_direct_engine".into(), Json::Bool(true)),
         ("cache_hit_rate".into(), Json::Num(cache_hit_rate)),
-        ("log_latency".into(), latency_json(&metrics.log_latency)),
-        (
-            "detect_latency".into(),
-            latency_json(&metrics.detect_latency),
-        ),
+        ("log_latency".into(), latency("log")),
+        ("detect_latency".into(), latency("detect")),
         (
             "transport".into(),
-            Json::Obj(vec![
-                ("frames_in".into(), Json::Int(metrics.frames_in)),
-                ("frames_out".into(), Json::Int(metrics.frames_out)),
-                ("decode_errors".into(), Json::Int(metrics.decode_errors)),
-                (
-                    "connections_opened".into(),
-                    Json::Int(metrics.connections_opened),
-                ),
-                (
-                    "connections_dropped".into(),
-                    Json::Int(metrics.connections_dropped),
-                ),
-            ]),
+            Json::Obj(
+                [
+                    "frames_in",
+                    "frames_out",
+                    "decode_errors",
+                    "connections_opened",
+                    "connections_dropped",
+                ]
+                .into_iter()
+                .map(|name| (name.into(), counter(name)))
+                .collect(),
+            ),
         ),
         ("reconnect_resume".into(), resume_report),
         ("serve_epoll".into(), epoll_report),

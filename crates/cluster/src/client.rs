@@ -566,7 +566,10 @@ impl ClusterClient {
     /// successor walk to land on the actual replica holder), shrinks
     /// the ring, and broadcasts the new epoch so surviving
     /// replicators re-route. The last member stays on the ring, its
-    /// sessions pinned to itself, to recover in place. Idempotent.
+    /// sessions pinned to itself, to recover in place. A session
+    /// pinned to `dead` as its backup is re-pinned to the next
+    /// member: the replica died with the backup, so that member
+    /// restores the checkpoint. Idempotent.
     fn fail_shard(&mut self, dead: u32) {
         if self.ring.addr_of(dead).is_none() {
             return;
@@ -577,6 +580,11 @@ impl ClusterClient {
             if route.shard == dead && route.backup.is_none() {
                 let successor = ring.successor_for(replica_key(dead, route.remote), dead);
                 route.backup = Some(successor.unwrap_or(dead));
+            } else if route.shard != dead && route.backup == Some(dead) {
+                let key = replica_key(route.shard, route.remote);
+                if let Some(successor) = ring.successor_for(key, dead) {
+                    route.backup = Some(successor);
+                }
             }
         }
         if self.ring.len() > 1 {
@@ -604,16 +612,28 @@ impl ClusterClient {
 
     /// Moves the session to its pinned backup, rebuilt at the client's
     /// progress point by one of the three branches of the module docs.
-    /// A session pinned to its own shard is recovered in place,
-    /// reconnecting with backoff until the policy's retries are spent
-    /// ([`ClusterError::NoShards`]). The route switches to the backup
-    /// only once the rebuilt session is at progress, so a failure
-    /// part-way leaves it pinned and the next call retries.
+    /// A backup found dead is failed in turn, and the session retried
+    /// on the member it is re-pinned to. A session pinned to its own
+    /// shard is recovered in place, reconnecting with backoff until
+    /// the policy's retries are spent ([`ClusterError::NoShards`]).
+    /// The route switches to the backup only once the rebuilt session
+    /// is at progress, so a failure part-way leaves it pinned and the
+    /// next call retries.
     fn failover(&mut self, key: u64) -> Result<()> {
         let route = self.route(key)?;
         let (shard, target) = (route.shard, route.backup.ok_or(ClusterError::NoShards)?);
         if target != shard {
-            return Ok(self.rebuild(key)?);
+            return match self.rebuild(key) {
+                Err(e) if transport_failure(&e) => {
+                    self.fail_shard(target);
+                    if self.route(key)?.backup == Some(target) {
+                        Err(e.into())
+                    } else {
+                        self.failover(key)
+                    }
+                }
+                rebuilt => Ok(rebuilt?),
+            };
         }
         let mut attempt = 0;
         loop {
@@ -814,10 +834,10 @@ impl ClusterClient {
     /// Live migration: moves every session off `shard` to its new
     /// owner under the shrunken ring, with zero dropped ticks — the
     /// shard stays up throughout, each session is snapshotted at a
-    /// batch boundary (the new checkpoint, emptying the log), closed
-    /// on the old shard, and restored bit-exactly on its new primary
-    /// before the ring update retires the member. Returns how many
-    /// sessions moved.
+    /// batch boundary (the new checkpoint, emptying the log), restored
+    /// bit-exactly on its new primary, and only then closed on the old
+    /// shard, before the ring update retires the member. Returns how
+    /// many sessions moved.
     ///
     /// # Errors
     ///
@@ -839,19 +859,18 @@ impl ClusterClient {
             .collect();
         let mut moved = 0;
         for key in keys {
-            let (remote, spec) = {
-                let route = self.routes.get(&key).expect("key collected above");
-                (route.remote, route.spec.clone())
-            };
-            let state = {
-                let conn = self.conn(shard)?;
-                let state = conn.snapshot_session(remote)?;
-                conn.close_session(remote)?;
-                state
-            };
+            let Self {
+                ring,
+                conns,
+                routes,
+                ..
+            } = self;
+            let route = routes.get_mut(&key).expect("key collected above");
+            let state = connect(conns, ring, shard)?.snapshot_session(route.remote)?;
             let new_primary = shrunk.primary_for(key).expect("non-empty ring");
-            let restored = self.conn(new_primary)?.restore_session(&spec, &state)?;
-            let route = self.routes.get_mut(&key).expect("key collected above");
+            let restored =
+                connect(conns, ring, new_primary)?.restore_session(&route.spec, &state)?;
+            connect(conns, ring, shard)?.close_session(route.remote)?;
             route.shard = new_primary;
             route.remote = restored.id;
             route.set_checkpoint(state);

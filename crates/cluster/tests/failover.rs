@@ -114,7 +114,7 @@ fn killing_the_primary_mid_stream_leaves_the_outcome_bytes_unchanged() {
 /// Per-sensor families carry an output map in their spec; the map
 /// travels inside `ReplicateSnapshot` / `RestoreSession` frames, so a
 /// mid-stream failover must reproduce the byte-identical outcome
-/// stream with the spec extension intact on whichever recovery path
+/// stream with the output map intact on whichever recovery path
 /// (replica promotion or client checkpoint) ends up running.
 #[test]
 fn killing_the_primary_is_invisible_for_output_map_scenarios() {
@@ -568,6 +568,71 @@ fn draining_a_shard_moves_its_sessions_with_zero_dropped_ticks() {
         assert_wire_identical(&seed, outcomes, reference);
         cluster.shutdown();
     }
+}
+
+#[test]
+fn a_backup_that_died_with_its_primary_is_skipped() {
+    // The primary dies, then one of the other two shards, before the
+    // next call. When that shard was the pinned backup, its replica
+    // died with it: the session is re-pinned to the survivor, which
+    // restores the checkpoint and replays the log.
+    let seed = SeedSpec::registry(0x0DEA_DBAC).with_len(32);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = direct_outcomes(&scenario);
+    for second in 0..2 {
+        let mut cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
+        let mut client = cluster.client();
+        let session = client.open_session(spec).expect("open");
+        let (first, rest) = scenario.trace.split_at(BATCH);
+        let mut outcomes = client.tick_batch(session.key, first).expect("first batch");
+        let primary = client.primary_of(session.key).expect("routed");
+        let others: Vec<u32> = cluster
+            .live_shards()
+            .into_iter()
+            .filter(|&s| s != primary)
+            .collect();
+        cluster.kill(primary);
+        cluster.kill(others[second]);
+        for chunk in rest.chunks(BATCH) {
+            outcomes.extend(client.tick_batch(session.key, chunk).expect("post-kill"));
+        }
+        assert_eq!(client.primary_of(session.key), Some(others[1 - second]));
+        assert_eq!(client.failovers(), 1, "one rebuild, on the survivor");
+        assert_wire_identical(&seed, outcomes, reference.clone());
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn a_drain_whose_target_is_dead_leaves_the_session_live() {
+    // The restore on the new owner fails, so the session must still
+    // be open on the old shard: it is closed there only after a
+    // successful restore.
+    let seed = SeedSpec::registry(0x0D4A_1DED).with_len(32);
+    let scenario = Scenario::from_seed(&seed);
+    let spec = scenario.spec.as_ref().expect("registry scenario");
+    let reference = direct_outcomes(&scenario);
+
+    let mut cluster = LocalCluster::launch(3, ServerConfig::default()).expect("launch");
+    let mut client = cluster.client();
+    let session = client.open_session(spec).expect("open");
+    let (first, rest) = scenario.trace.split_at(BATCH);
+    let mut outcomes = client.tick_batch(session.key, first).expect("first batch");
+    let old = client.primary_of(session.key).expect("routed");
+    let target = cluster
+        .ring()
+        .without(old)
+        .primary_for(session.key)
+        .expect("two members remain");
+    cluster.kill(target);
+    client.drain_shard(old).expect_err("the new owner is dead");
+    for chunk in rest.chunks(BATCH) {
+        outcomes.extend(client.tick_batch(session.key, chunk).expect("post-drain"));
+    }
+    assert_eq!(client.primary_of(session.key), Some(old));
+    assert_wire_identical(&seed, outcomes, reference);
+    cluster.shutdown();
 }
 
 #[test]

@@ -44,12 +44,12 @@
 //!
 //! Every decoded request frame is answered by exactly one reply frame,
 //! in request order, with the request's correlation id echoed (a
-//! legacy corr-less request gets a corr-less reply). A malformed or
-//! oversized frame is answered with one `Internal` error frame and
-//! closes only its own connection. A frame that does not complete
-//! within [`ServerConfig::frame_deadline`] of its first byte drops the
-//! connection, so a slow-loris peer holds a connection slot, never a
-//! thread, and only for a bounded time. Sessions idle past
+//! corr-less request gets a corr-less reply). A malformed or
+//! oversized frame is answered with one corr-less `Internal` error
+//! frame and closes only its own connection. A frame that does not
+//! complete within [`ServerConfig::frame_deadline`] of its first byte
+//! drops the connection, so a slow-loris peer holds a connection slot,
+//! never a thread, and only for a bounded time. Sessions idle past
 //! [`ServerConfig::session_ttl`] are evicted by the same sweep. A
 //! session is reachable only from the connection that opened it.
 
@@ -688,8 +688,8 @@ impl Shard {
     /// Encodes and queues a reply, counting `frames_out` before the
     /// bytes can possibly hit the wire: a client that has read its
     /// reply observes the counter already bumped. The request's
-    /// correlation id is echoed; legacy corr-less requests get legacy
-    /// corr-less replies.
+    /// correlation id is echoed; corr-less requests get corr-less
+    /// replies.
     fn queue_reply(&mut self, slot: usize, reply: &Frame, corr: Option<u64>) {
         self.shard.stats.frames_out.fetch_add(1, Ordering::Relaxed);
         let conn = self.conns[slot].as_mut().expect("live conn");
@@ -1164,41 +1164,45 @@ fn wire_latency(hist: &LatencyHistogram) -> WireLatency {
 
 /// Folds a cross-shard engine snapshot, the summed transport counters,
 /// the shard count and the mid-frame resume total into the
-/// `MetricsReply` image.
+/// `MetricsReply` image: each counter under its field's name, and the
+/// `log` and `detect` stages.
 fn wire_metrics(
     engine: &RuntimeMetrics,
     transport: &TransportMetrics,
     shards: u64,
     partial_frame_resumes: u64,
 ) -> WireMetrics {
+    let counters = [
+        ("sessions_active", engine.sessions_active),
+        ("ticks_submitted", engine.ticks_submitted),
+        ("ticks_processed", engine.ticks_processed),
+        ("alarms_raised", engine.alarms_raised),
+        ("degraded_ticks", engine.degraded_ticks),
+        ("queue_depth_high_water", engine.queue_depth_high_water),
+        ("alloc_free_ticks", engine.alloc_free_ticks),
+        ("batched_deadline_queries", engine.batched_deadline_queries),
+        ("sessions_replicated", engine.sessions_replicated),
+        ("failovers", engine.failovers),
+        ("replication_lag_hwm", engine.replication_lag_hwm),
+        ("batch_ticks", engine.batch_ticks),
+        ("batch_sessions_hwm", engine.batch_sessions_hwm),
+        ("recalibrations", engine.recalibrations),
+        ("frames_in", transport.frames_in),
+        ("frames_out", transport.frames_out),
+        ("decode_errors", transport.decode_errors),
+        ("connections_opened", transport.connections_opened),
+        ("connections_dropped", transport.connections_dropped),
+        ("sessions_evicted", transport.sessions_evicted),
+        ("recalibrations_rejected", transport.recalibrations_rejected),
+        ("shards", shards),
+        ("partial_frame_resumes", partial_frame_resumes),
+    ];
     WireMetrics {
-        sessions_active: engine.sessions_active,
-        ticks_submitted: engine.ticks_submitted,
-        ticks_processed: engine.ticks_processed,
-        alarms_raised: engine.alarms_raised,
-        degraded_ticks: engine.degraded_ticks,
-        queue_depth_high_water: engine.queue_depth_high_water,
-        log_latency: wire_latency(&engine.log_latency),
-        detect_latency: wire_latency(&engine.detect_latency),
-        frames_in: transport.frames_in,
-        frames_out: transport.frames_out,
-        decode_errors: transport.decode_errors,
-        connections_opened: transport.connections_opened,
-        connections_dropped: transport.connections_dropped,
-        alloc_free_ticks: engine.alloc_free_ticks,
-        batched_deadline_queries: engine.batched_deadline_queries,
-        sessions_evicted: transport.sessions_evicted,
-        shards,
-        partial_frame_resumes,
-        sessions_replicated: engine.sessions_replicated,
-        failovers: engine.failovers,
-        replication_lag_hwm: engine.replication_lag_hwm,
-        batch_ticks: engine.batch_ticks,
-        batch_sessions_hwm: engine.batch_sessions_hwm,
-        // Always 0; the field holds its place in the frame layout.
-        scalar_fallback_ticks: 0,
-        recalibrations: engine.recalibrations,
-        recalibrations_rejected: transport.recalibrations_rejected,
+        counters: Vec::from(counters.map(|(name, value)| (name.to_owned(), value))),
+        latencies: vec![
+            ("log".to_owned(), wire_latency(&engine.log_latency)),
+            ("detect".to_owned(), wire_latency(&engine.detect_latency)),
+        ],
     }
 }
 
@@ -1206,6 +1210,16 @@ fn wire_metrics(
 mod tests {
     use super::*;
     use awsad_runtime::EngineConfig;
+
+    #[test]
+    fn the_metrics_reply_names_each_counter_once() {
+        let m = wire_metrics(&RuntimeMetrics::zero(), &TransportMetrics::default(), 2, 0);
+        let mut names: Vec<&str> = m.counters.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), m.counters.len(), "a counter is listed twice");
+        assert_eq!(m.counter("shards"), Some(2));
+    }
 
     #[test]
     fn a_batch_that_comes_back_short_answers_timeout_at_once() {

@@ -30,7 +30,7 @@ use awsad_models::Simulator;
 use awsad_net::{NetServer, NetServerConfig};
 use awsad_runtime::{BackpressurePolicy, EngineConfig};
 use awsad_serve::client::{Client, ClientError};
-use awsad_serve::server::ServerConfig;
+use awsad_serve::server::{session_parts_for_spec, ServerConfig};
 use awsad_serve::wire::{
     read_envelope, write_frame_corr, ErrorCode, Frame, RingMember, SessionSpec, WireOutcome,
     DEFAULT_MAX_FRAME_LEN,
@@ -158,11 +158,11 @@ fn torn_frames_resume_mid_frame_and_are_counted() {
     assert!(matches!(env.frame, Frame::HelloAck { .. }));
 
     // The torn frame was completed by mid-frame resume, and the
-    // append-only metrics fields report it alongside the shard count.
+    // metrics reply counts it beside the shard count.
     assert!(server.partial_frame_resumes() >= 1);
     let wm = client.metrics().unwrap();
-    assert_eq!(wm.shards, 2);
-    assert!(wm.partial_frame_resumes >= 1);
+    assert_eq!(wm.counter("shards"), Some(2));
+    assert!(wm.counter("partial_frame_resumes").unwrap() >= 1);
 
     // The dripping never perturbed the well-behaved connection.
     let outcome = client
@@ -230,7 +230,7 @@ fn oversized_frame_is_rejected_before_allocation_and_drops_connection() {
 
     // A healthy client still gets served afterwards.
     let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.metrics().unwrap().decode_errors, 1);
+    assert_eq!(client.metrics().unwrap().counter("decode_errors"), Some(1));
     server.shutdown();
 }
 
@@ -273,7 +273,25 @@ fn protocol_misuse_yields_typed_errors_without_killing_the_connection() {
         other => panic!("expected UnknownSession, got {other:?}"),
     }
     // Misuse is not malformed framing.
-    assert_eq!(client.metrics().unwrap().decode_errors, 0);
+    assert_eq!(client.metrics().unwrap().counter("decode_errors"), Some(0));
+    server.shutdown();
+}
+
+#[test]
+fn output_rows_without_a_map_are_refused_over_the_wire() {
+    // The spec crosses the wire whole, so the server refuses exactly
+    // what the local construction refuses.
+    let spec = SessionSpec::model_defaults(2).with_output_map(2, vec![]);
+    let Err((code, _)) = session_parts_for_spec(&spec) else {
+        panic!("a row count without a map must be refused locally");
+    };
+    assert_eq!(code, ErrorCode::DimensionMismatch);
+    let server = NetServer::bind("127.0.0.1:0", two_shard_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.open_session(&spec) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::DimensionMismatch),
+        other => panic!("expected DimensionMismatch, got {other:?}"),
+    }
     server.shutdown();
 }
 
@@ -571,13 +589,14 @@ fn metrics_merge_aggregates_sessions_across_connections() {
     // 1+2+3 ticks across three connections; the merged engine view
     // must account every one, whichever shard served it.
     let wm = clients[0].metrics().unwrap();
-    assert_eq!(wm.shards, 2);
-    assert_eq!(wm.sessions_active, 3);
-    assert_eq!(wm.ticks_submitted, total_ticks);
-    assert_eq!(wm.ticks_processed, total_ticks);
-    assert_eq!(wm.log_latency.count, total_ticks);
-    assert_eq!(wm.detect_latency.count, total_ticks);
-    assert!(wm.detect_latency.mean_ns > 0.0);
+    assert_eq!(wm.counter("shards"), Some(2));
+    assert_eq!(wm.counter("sessions_active"), Some(3));
+    assert_eq!(wm.counter("ticks_submitted"), Some(total_ticks));
+    assert_eq!(wm.counter("ticks_processed"), Some(total_ticks));
+    assert_eq!(wm.latency("log").unwrap().count, total_ticks);
+    let detect = wm.latency("detect").unwrap();
+    assert_eq!(detect.count, total_ticks);
+    assert!(detect.mean_ns > 0.0);
     assert_eq!(server.engine_metrics().ticks_processed, total_ticks);
     // frames: per client: 1 hello + 1 open + ticks + 1 metrics query.
     let t = server.transport_metrics();
@@ -638,7 +657,10 @@ fn degrade_policy_reaches_the_wire() {
     for o in outcomes.iter().filter(|o| o.degraded) {
         assert_eq!(o.window, w_m);
     }
-    assert_eq!(client.metrics().unwrap().degraded_ticks, 64 - 2);
+    assert_eq!(
+        client.metrics().unwrap().counter("degraded_ticks"),
+        Some(64 - 2)
+    );
     server.shutdown();
 }
 

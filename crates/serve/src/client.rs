@@ -409,7 +409,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's engine counters plus transport counters.
+    /// Fetches the server's engine and transport counters and its
+    /// latency-stage summaries, each read by name
+    /// ([`WireMetrics::counter`], [`WireMetrics::latency`]).
     ///
     /// # Errors
     ///
@@ -528,8 +530,9 @@ impl Client {
                 return Err(e.into());
             }
         };
-        // A legacy server does not echo correlation ids; `None` is
-        // trusted for compatibility. A *wrong* id is proof of desync.
+        // The server's reply to a request it could not decode carries
+        // no id (it never learned one), so `None` is trusted: it is
+        // that error frame. A *wrong* id is proof of desync.
         if let Some(got) = envelope.corr {
             if got != corr {
                 self.poisoned = Some("reply correlation id mismatch");

@@ -24,17 +24,21 @@
 //!
 //! # Correlation ids
 //!
-//! Any frame may carry an optional **correlation id** appended after
-//! its body: exactly eight extra bytes, read as a `u64`. A server
-//! echoes a request's correlation id on the reply, which lets a client
-//! pair replies with requests instead of trusting stream position —
-//! the fix for the reply-desync bug where a timed-out request's late
-//! reply was delivered as the answer to the *next* request. The field
-//! is append-only in the same style as the metrics counters: frames
-//! without it (every pre-correlation peer) decode exactly as before,
-//! and [`Frame::decode`] (the strict entry point) still rejects it so
-//! legacy round-trip expectations hold. Use
-//! [`Frame::decode_enveloped`] / [`read_envelope`] to accept it.
+//! Any frame may carry an optional **correlation id** after its body:
+//! exactly eight extra bytes, read as a `u64`. A server echoes a
+//! request's correlation id on the reply, which lets a client pair
+//! replies with requests instead of trusting stream position — the fix
+//! for the reply-desync bug where a timed-out request's late reply was
+//! delivered as the answer to the *next* request. Every frame type has
+//! exactly one body layout, so after the body comes either nothing or
+//! the id. [`Frame::decode`] (the strict entry point) rejects the id;
+//! [`Frame::decode_enveloped`] / [`read_envelope`] accept it.
+//!
+//! # Compatibility
+//!
+//! The header's [`VERSION`] is the only compatibility rule: a peer
+//! speaking another version is refused at the header with
+//! [`WireError::UnsupportedVersion`], whatever the frame.
 
 use std::io::{self, Read, Write};
 
@@ -47,7 +51,7 @@ pub const MAGIC: [u8; 4] = *b"AWSD";
 
 /// Protocol version spoken by this build. Decoders reject frames
 /// carrying any other version with [`WireError::UnsupportedVersion`].
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Default upper bound on the payload length a peer will accept.
 /// Large enough for a ~8000-tick batch on the 12-state quadrotor,
@@ -156,9 +160,9 @@ pub enum ErrorCode {
     Timeout = 5,
     /// Anything else; the message has details.
     Internal = 6,
-    /// A `RestoreSession` snapshot failed validation against the spec
-    /// it was restored under. Only emitted in reply to the (new)
-    /// `RestoreSession` frame, so legacy clients never see it.
+    /// A snapshot was refused: a `RestoreSession` (or promoted) state
+    /// failed validation against its spec, or a `ReplicateSnapshot`
+    /// was not newer than the replica already stored.
     BadSnapshot = 7,
 }
 
@@ -209,19 +213,15 @@ pub struct SessionSpec {
     pub threshold: Vec<f64>,
     /// Exact deadline-cache capacity (`0` → no cache installed).
     pub cache_capacity: u32,
-    /// Number of rows `p` of the output map (`0` when [`Self::output_map`]
-    /// is empty).
+    /// Number of rows `p` of the output map (must be `0` when
+    /// [`Self::output_map`] is empty).
     pub output_rows: u32,
     /// Row-major output map `C` (`p × n`, flattened) of the plant the
-    /// session's tick stream was reconstructed from. Empty = the
-    /// legacy fully observable plant (`C = I`). The map does not
-    /// change the detector stack — ticks are state estimates either
-    /// way — but it travels with the session so snapshots, restores
-    /// and replicas describe the scenario losslessly.
-    ///
-    /// On the wire the pair is an append-only trailing extension,
-    /// written only when the map is non-empty; old peers that never
-    /// send it decode as `C = I`.
+    /// session's tick stream was reconstructed from. Empty = a fully
+    /// observable plant (`C = I`). The map does not change the
+    /// detector stack — ticks are state estimates either way — but it
+    /// travels with the session so snapshots, restores and replicas
+    /// describe the scenario losslessly.
     pub output_map: Vec<f64>,
 }
 
@@ -372,15 +372,8 @@ pub struct WireSessionState {
     /// Retained logger entries, oldest first.
     pub entries: Vec<WireLogEntry>,
     /// The recalibrated plant model in effect, `None` while the
-    /// session still runs its configured model.
-    ///
-    /// On the wire this rides the `cached_deadline` tag byte: tags
-    /// 3/4/5 mirror 0/1/2 and additionally announce a recalibration
-    /// block *after* the entries vec (`session_state` cannot grow a
-    /// plain trailing extension — the spec extension and the
-    /// correlation id already follow it in the carrying frames). A
-    /// never-recalibrated state keeps tags 0/1/2, so its wire image
-    /// stays byte-identical to every pre-recalibration peer.
+    /// session still runs its configured model. On the wire it
+    /// follows the entries behind its own presence byte.
     pub recalibration: Option<WireRecalibration>,
 }
 
@@ -489,12 +482,12 @@ impl WireSessionState {
             },
             next_seq: self.next_seq,
             // The wire image deliberately omits the generation
-            // counter: `session_state` is the trailing field of
-            // `SessionSnapshot`/`RestoreSession` frames, so appending
-            // eight bytes here would be indistinguishable from a
-            // correlation id. Legacy restores start a fresh lineage;
-            // replication carries the generation in
-            // `Frame::ReplicateSnapshot` instead.
+            // counter: generations order the replicas of one lineage,
+            // stored under its replica key, and a restored session
+            // gets a fresh session id and so a fresh key. A wire
+            // restore therefore starts a fresh lineage; replication
+            // carries the generation in `Frame::ReplicateSnapshot`
+            // instead.
             generation: 0,
         }
     }
@@ -515,98 +508,36 @@ pub struct WireLatency {
     pub overflow: u64,
 }
 
-/// Wire image of the engine counters plus the server's own transport
-/// counters, returned by `MetricsQuery`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The server's counters and latency summaries, returned by
+/// `MetricsQuery`, each under its name. The names are the server's to
+/// choose (it names each counter after the metrics field it reads), so
+/// this type holds no list of them: a name the reply lacks reads
+/// `None`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireMetrics {
-    /// Sessions currently open on the engine.
-    pub sessions_active: u64,
-    /// Ticks accepted into session queues.
-    pub ticks_submitted: u64,
-    /// Ticks fully processed.
-    pub ticks_processed: u64,
-    /// Processed ticks that raised any alarm.
-    pub alarms_raised: u64,
-    /// Processed ticks that took the degraded path.
-    pub degraded_ticks: u64,
-    /// Highest simultaneous queue depth observed.
-    pub queue_depth_high_water: u64,
-    /// Logging-stage latency summary.
-    pub log_latency: WireLatency,
-    /// Detection-stage latency summary.
-    pub detect_latency: WireLatency,
-    /// Frames successfully decoded by the server.
-    pub frames_in: u64,
-    /// Frames written by the server.
-    pub frames_out: u64,
-    /// Malformed/oversized frames seen (each also drops a connection).
-    pub decode_errors: u64,
-    /// Connections accepted over the server's lifetime.
-    pub connections_opened: u64,
-    /// Connections torn down for cause (decode error, I/O error).
-    pub connections_dropped: u64,
-    /// Non-degraded ticks whose detection stage ran without heap
-    /// allocation (see `RuntimeMetrics::alloc_free_ticks`).
-    ///
-    /// Appended after the v1 field set; a reply from an older server
-    /// decodes with this zeroed (see [`Frame::decode`]'s append-only
-    /// handling).
-    pub alloc_free_ticks: u64,
-    /// Deadline-cache entries inserted by coalesced batched walks
-    /// (see `RuntimeMetrics::batched_deadline_queries`). Appended
-    /// after the v1 field set, zeroed when absent.
-    pub batched_deadline_queries: u64,
-    /// Sessions evicted by the server's idle-TTL sweep. Third appended
-    /// counter (after the two above), zeroed when absent.
-    pub sessions_evicted: u64,
-    /// Number of I/O shards whose engines were merged into this reply.
-    /// `0` means the field was absent (a server that predates it).
-    /// Fourth appended counter; always written together with
-    /// [`WireMetrics::partial_frame_resumes`], zeroed when absent.
-    pub shards: u64,
-    /// Frames whose bytes arrived torn across more than one readiness
-    /// wakeup and were completed by the incremental decoder resuming
-    /// mid-frame. Fifth
-    /// appended counter, written together with [`WireMetrics::shards`],
-    /// zeroed when absent.
-    pub partial_frame_resumes: u64,
-    /// Session snapshots accepted into this server's replica store by
-    /// cluster replication ingress (`ReplicateSnapshot` frames stored;
-    /// stale generations excluded). Sixth appended counter, always
-    /// written together with the two below, zeroed when absent.
-    pub sessions_replicated: u64,
-    /// Replica promotions served (`PromoteSession` frames that turned
-    /// a stored backup into a live session). Seventh appended counter,
-    /// zeroed when absent.
-    pub failovers: u64,
-    /// Highest replication backlog observed on the egress side
-    /// (snapshots queued but not yet acknowledged by the backup) —
-    /// merged across shards by max, like `queue_depth_high_water`.
-    /// Eighth appended counter, zeroed when absent.
-    pub replication_lag_hwm: u64,
-    /// Non-degraded ticks stepped through the cross-session batched
-    /// detection path (see `RuntimeMetrics::batch_ticks`). Ninth
-    /// appended counter, always written together with the two below,
-    /// zeroed when absent.
-    pub batch_ticks: u64,
-    /// Widest lane set a single batched detection step has covered —
-    /// merged across shards by max, like `queue_depth_high_water`.
-    /// Tenth appended counter, zeroed when absent.
-    pub batch_sessions_hwm: u64,
-    /// Always 0: it counted batch-mode ticks that fell back to the
-    /// scalar step, and every session now batches. Kept so the frame
-    /// layout is unchanged. Eleventh appended counter, zeroed when
-    /// absent.
-    pub scalar_fallback_ticks: u64,
-    /// Mid-stream recalibrations accepted (`Recalibrate` frames that
-    /// swapped a session's plant model in place). Twelfth appended
-    /// counter, always written together with the one below, zeroed
-    /// when absent.
-    pub recalibrations: u64,
-    /// `Recalibrate` frames rejected (unknown session, malformed
-    /// matrices, or a model the estimator refused). Thirteenth
-    /// appended counter, zeroed when absent.
-    pub recalibrations_rejected: u64,
+    /// Named counters, in the server's order.
+    pub counters: Vec<(String, u64)>,
+    /// Named latency-stage summaries, in the server's order.
+    pub latencies: Vec<(String, WireLatency)>,
+}
+
+impl WireMetrics {
+    /// The counter named `name`, `None` when the reply carries none.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// The latency summary of stage `name`, `None` when the reply
+    /// carries none.
+    pub fn latency(&self, name: &str) -> Option<&WireLatency> {
+        self.latencies
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, l)| l)
+    }
 }
 
 /// One shard server in a cluster ring announcement
@@ -764,7 +695,6 @@ pub enum Frame {
     /// Swap the session's plant model for `(a, b)` mid-stream (an
     /// accepted drift verdict): the server rebuilds the deadline
     /// estimator and cache in place without dropping a queued tick.
-    /// Append-only like every post-v1 frame — no version bump.
     /// Replied to with [`Frame::RecalibrateAck`] or an [`Frame::Error`]
     /// ([`ErrorCode::UnknownSession`] / [`ErrorCode::DimensionMismatch`]).
     Recalibrate {
@@ -889,16 +819,14 @@ impl Enc {
         self.u64(l.overflow);
     }
 
-    /// Appends the spec's output-map extension — only when a map is
-    /// present, so legacy (`C = I`) frames are byte-identical to what
-    /// older peers emit. A written extension is at least 16 bytes
-    /// (rows + length prefix + ≥ 1 float), which is what lets the
-    /// decoder tell it apart from a bare 8-byte correlation id.
-    fn spec_extension(&mut self, spec: &SessionSpec) {
-        if !spec.output_map.is_empty() {
-            self.u32(spec.output_rows);
-            self.f64s(&spec.output_map);
-        }
+    fn spec(&mut self, s: &SessionSpec) {
+        self.u8(s.model);
+        self.u32(s.max_window);
+        self.u32(s.min_window);
+        self.f64s(&s.threshold);
+        self.u32(s.cache_capacity);
+        self.u32(s.output_rows);
+        self.f64s(&s.output_map);
     }
 
     fn session_state(&mut self, s: &WireSessionState) {
@@ -907,16 +835,11 @@ impl Enc {
         self.f64(s.initial_radius);
         self.u8(s.complementary_enabled as u8);
         self.u64(s.reestimation_period);
-        // Deadline tags 3/4/5 mirror 0/1/2 and announce a
-        // recalibration block after the entries vec; a
-        // never-recalibrated state writes 0/1/2 and is byte-identical
-        // to the pre-recalibration wire format.
-        let tag_base = if s.recalibration.is_some() { 3 } else { 0 };
         match s.cached_deadline {
-            None => self.u8(tag_base),
-            Some(None) => self.u8(tag_base + 1),
+            None => self.u8(0),
+            Some(None) => self.u8(1),
             Some(Some(t)) => {
-                self.u8(tag_base + 2);
+                self.u8(2);
                 self.u64(t);
             }
         }
@@ -936,6 +859,7 @@ impl Enc {
             }
             self.f64s(&e.residual);
         }
+        self.u8(s.recalibration.is_some() as u8);
         if let Some(r) = &s.recalibration {
             self.u32(r.state_dim);
             self.u32(r.input_dim);
@@ -1042,16 +966,10 @@ impl<'a> Dec<'a> {
         let initial_radius = self.f64()?;
         let complementary_enabled = self.bool()?;
         let reestimation_period = self.u64()?;
-        // Tags 3/4/5 mirror 0/1/2 and additionally announce a
-        // recalibration block after the entries vec (see
-        // `WireSessionState::recalibration`).
-        let (cached_deadline, has_recalibration) = match self.u8()? {
-            0 => (None, false),
-            1 => (Some(None), false),
-            2 => (Some(Some(self.u64()?)), false),
-            3 => (None, true),
-            4 => (Some(None), true),
-            5 => (Some(Some(self.u64()?)), true),
+        let cached_deadline = match self.u8()? {
+            0 => None,
+            1 => Some(None),
+            2 => Some(Some(self.u64()?)),
             _ => return Err(WireError::BadValue("deadline tag")),
         };
         let next_step = self.u64()?;
@@ -1073,7 +991,7 @@ impl<'a> Dec<'a> {
                 residual: self.f64s()?,
             });
         }
-        let recalibration = if has_recalibration {
+        let recalibration = if self.bool()? {
             let state_dim = self.u32()?;
             let input_dim = self.u32()?;
             let a = self.f64s()?;
@@ -1113,27 +1031,22 @@ impl<'a> Dec<'a> {
         })
     }
 
-    /// Bytes not yet consumed — the gate for append-only optional
-    /// field extensions (fields added to the *end* of a frame body in
-    /// a later revision, decoded only when present).
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+    fn spec(&mut self) -> Result<SessionSpec, WireError> {
+        Ok(SessionSpec {
+            model: self.u8()?,
+            max_window: self.u32()?,
+            min_window: self.u32()?,
+            threshold: self.f64s()?,
+            cache_capacity: self.u32()?,
+            output_rows: self.u32()?,
+            output_map: self.f64s()?,
+        })
     }
 
-    /// Reads the spec's trailing output-map extension when present.
-    ///
-    /// More than 8 remaining bytes means an extension: a written
-    /// extension is never smaller than 16 bytes (rows, length prefix,
-    /// and at least one float), so a bare correlation id — exactly
-    /// 8 — can never be mistaken for one. Whatever is left afterwards
-    /// (0 or 8 bytes) falls through to the envelope's correlation-id
-    /// logic.
-    fn spec_extension(&mut self, spec: &mut SessionSpec) -> Result<(), WireError> {
-        if self.remaining() > 8 {
-            spec.output_rows = self.u32()?;
-            spec.output_map = self.f64s()?;
-        }
-        Ok(())
+    /// Bytes not yet consumed: after the body, either none or a
+    /// correlation id.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -1153,7 +1066,9 @@ impl<'a> Dec<'a> {
 pub struct Envelope {
     /// The decoded frame.
     pub frame: Frame,
-    /// The appended correlation id, `None` for legacy peers.
+    /// The correlation id after the body, `None` when the sender wrote
+    /// none (the server's reply to a request it could not decode has
+    /// no id to echo).
     pub corr: Option<u64>,
 }
 
@@ -1261,14 +1176,7 @@ impl Frame {
         match self {
             Frame::Hello { client } => e.str(client),
             Frame::HelloAck { server } => e.str(server),
-            Frame::OpenSession(spec) => {
-                e.u8(spec.model);
-                e.u32(spec.max_window);
-                e.u32(spec.min_window);
-                e.f64s(&spec.threshold);
-                e.u32(spec.cache_capacity);
-                e.spec_extension(spec);
-            }
+            Frame::OpenSession(spec) => e.spec(spec),
             Frame::SessionOpened {
                 session,
                 state_dim,
@@ -1305,35 +1213,16 @@ impl Frame {
             }
             Frame::MetricsQuery => {}
             Frame::MetricsReply(m) => {
-                e.u64(m.sessions_active);
-                e.u64(m.ticks_submitted);
-                e.u64(m.ticks_processed);
-                e.u64(m.alarms_raised);
-                e.u64(m.degraded_ticks);
-                e.u64(m.queue_depth_high_water);
-                e.latency(&m.log_latency);
-                e.latency(&m.detect_latency);
-                e.u64(m.frames_in);
-                e.u64(m.frames_out);
-                e.u64(m.decode_errors);
-                e.u64(m.connections_opened);
-                e.u64(m.connections_dropped);
-                // Appended after the v1 field set — same wire version.
-                // Decoders treat these as optional-when-absent, so old
-                // and new peers interoperate without a version bump.
-                e.u64(m.alloc_free_ticks);
-                e.u64(m.batched_deadline_queries);
-                e.u64(m.sessions_evicted);
-                e.u64(m.shards);
-                e.u64(m.partial_frame_resumes);
-                e.u64(m.sessions_replicated);
-                e.u64(m.failovers);
-                e.u64(m.replication_lag_hwm);
-                e.u64(m.batch_ticks);
-                e.u64(m.batch_sessions_hwm);
-                e.u64(m.scalar_fallback_ticks);
-                e.u64(m.recalibrations);
-                e.u64(m.recalibrations_rejected);
+                e.len_prefix("counters", m.counters.len());
+                for (name, value) in &m.counters {
+                    e.str(name);
+                    e.u64(*value);
+                }
+                e.len_prefix("latencies", m.latencies.len());
+                for (name, latency) in &m.latencies {
+                    e.str(name);
+                    e.latency(latency);
+                }
             }
             Frame::SnapshotSession { session } => e.u64(*session),
             Frame::SessionSnapshot { session, state } => {
@@ -1341,13 +1230,8 @@ impl Frame {
                 e.session_state(state);
             }
             Frame::RestoreSession { spec, state } => {
-                e.u8(spec.model);
-                e.u32(spec.max_window);
-                e.u32(spec.min_window);
-                e.f64s(&spec.threshold);
-                e.u32(spec.cache_capacity);
+                e.spec(spec);
                 e.session_state(state);
-                e.spec_extension(spec);
             }
             Frame::Error { code, message } => {
                 e.u8(*code as u8);
@@ -1361,13 +1245,8 @@ impl Frame {
             } => {
                 e.u64(*key);
                 e.u64(*generation);
-                e.u8(spec.model);
-                e.u32(spec.max_window);
-                e.u32(spec.min_window);
-                e.f64s(&spec.threshold);
-                e.u32(spec.cache_capacity);
+                e.spec(spec);
                 e.session_state(state);
-                e.spec_extension(spec);
             }
             Frame::ReplicateAck { key, generation } => {
                 e.u64(*key);
@@ -1409,10 +1288,10 @@ impl Frame {
         e.finish()
     }
 
-    /// Decodes one payload (header + body), **rejecting** any appended
+    /// Decodes one payload (header + body), **rejecting** a
     /// correlation id with [`WireError::TrailingBytes`] — the strict
-    /// legacy entry point. Never panics on hostile input; every
-    /// failure is a typed [`WireError`].
+    /// entry point. Never panics on hostile input; every failure is a
+    /// typed [`WireError`].
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
         let env = Frame::decode_enveloped(payload)?;
         if env.corr.is_some() {
@@ -1421,9 +1300,9 @@ impl Frame {
         Ok(env.frame)
     }
 
-    /// Decodes one payload, accepting an optional appended correlation
-    /// id: exactly eight bytes after the body are the id; zero extra
-    /// bytes is a legacy frame; anything else is
+    /// Decodes one payload, accepting an optional correlation id:
+    /// exactly eight bytes after the body are the id; zero extra bytes
+    /// is a frame without one; anything else is
     /// [`WireError::TrailingBytes`].
     pub fn decode_enveloped(payload: &[u8]) -> Result<Envelope, WireError> {
         let mut d = Dec {
@@ -1442,19 +1321,7 @@ impl Frame {
         let frame = match frame_type {
             FRAME_HELLO => Frame::Hello { client: d.str()? },
             FRAME_HELLO_ACK => Frame::HelloAck { server: d.str()? },
-            FRAME_OPEN_SESSION => {
-                let mut spec = SessionSpec {
-                    model: d.u8()?,
-                    max_window: d.u32()?,
-                    min_window: d.u32()?,
-                    threshold: d.f64s()?,
-                    cache_capacity: d.u32()?,
-                    output_rows: 0,
-                    output_map: Vec::new(),
-                };
-                d.spec_extension(&mut spec)?;
-                Frame::OpenSession(spec)
-            }
+            FRAME_OPEN_SESSION => Frame::OpenSession(d.spec()?),
             FRAME_SESSION_OPENED => Frame::SessionOpened {
                 session: d.u64()?,
                 state_dim: d.u32()?,
@@ -1494,151 +1361,43 @@ impl Frame {
             FRAME_SESSION_CLOSED => Frame::SessionClosed { session: d.u64()? },
             FRAME_METRICS_QUERY => Frame::MetricsQuery,
             FRAME_METRICS_REPLY => {
-                let mut m = WireMetrics {
-                    sessions_active: d.u64()?,
-                    ticks_submitted: d.u64()?,
-                    ticks_processed: d.u64()?,
-                    alarms_raised: d.u64()?,
-                    degraded_ticks: d.u64()?,
-                    queue_depth_high_water: d.u64()?,
-                    log_latency: d.latency()?,
-                    detect_latency: d.latency()?,
-                    frames_in: d.u64()?,
-                    frames_out: d.u64()?,
-                    decode_errors: d.u64()?,
-                    connections_opened: d.u64()?,
-                    connections_dropped: d.u64()?,
-                    alloc_free_ticks: 0,
-                    batched_deadline_queries: 0,
-                    sessions_evicted: 0,
-                    shards: 0,
-                    partial_frame_resumes: 0,
-                    sessions_replicated: 0,
-                    failovers: 0,
-                    replication_lag_hwm: 0,
-                    batch_ticks: 0,
-                    batch_sessions_hwm: 0,
-                    scalar_fallback_ticks: 0,
-                    recalibrations: 0,
-                    recalibrations_rejected: 0,
-                };
-                // Append-only extensions, oldest first. The remaining
-                // byte count disambiguates each generation because
-                // every peer generation writes its *whole* counter set:
-                // ≥ 104 means all thirteen counters are present (an
-                // eleven-counter peer plus a correlation id is 96,
-                // safely below — which is also why the extension jumped
-                // from eleven counters straight to thirteen: a twelfth
-                // alone would encode as 96 bytes and collide with
-                // eleven + id); ≥ 88 means exactly the first eleven
-                // (a thirteen-counter payload is never < 104, and
-                // eleven counters + a correlation id = 96, which still
-                // lands in this branch and leaves the id for the
-                // envelope); ≥ 64 means exactly the first eight (an
-                // eight-counter peer plus an id = 72; the only other
-                // way to reach 64 would be a five-counter peer
-                // appending a correlation id plus 16 junk bytes, which
-                // no peer emits); ≥ 40 means exactly the first five;
-                // ≥ 24 means exactly the first three (two-counter
-                // peers predate correlation ids, so 24 can never be
-                // two counters plus an id); ≥ 16 means the first two.
-                // Whatever is left after the counters (0 or 8 bytes)
-                // is handled by the envelope's correlation-id logic.
-                if d.remaining() >= 104 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                    m.sessions_replicated = d.u64()?;
-                    m.failovers = d.u64()?;
-                    m.replication_lag_hwm = d.u64()?;
-                    m.batch_ticks = d.u64()?;
-                    m.batch_sessions_hwm = d.u64()?;
-                    m.scalar_fallback_ticks = d.u64()?;
-                    m.recalibrations = d.u64()?;
-                    m.recalibrations_rejected = d.u64()?;
-                } else if d.remaining() >= 88 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                    m.sessions_replicated = d.u64()?;
-                    m.failovers = d.u64()?;
-                    m.replication_lag_hwm = d.u64()?;
-                    m.batch_ticks = d.u64()?;
-                    m.batch_sessions_hwm = d.u64()?;
-                    m.scalar_fallback_ticks = d.u64()?;
-                } else if d.remaining() >= 64 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                    m.sessions_replicated = d.u64()?;
-                    m.failovers = d.u64()?;
-                    m.replication_lag_hwm = d.u64()?;
-                } else if d.remaining() >= 40 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                    m.shards = d.u64()?;
-                    m.partial_frame_resumes = d.u64()?;
-                } else if d.remaining() >= 24 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
-                    m.sessions_evicted = d.u64()?;
-                } else if d.remaining() >= 16 {
-                    m.alloc_free_ticks = d.u64()?;
-                    m.batched_deadline_queries = d.u64()?;
+                // Smallest entries: an empty name's length prefix plus
+                // a u64 (12 bytes), or plus a latency summary with
+                // both bounds absent (30 bytes).
+                let n = d.seq_len(12)?;
+                let mut counters = Vec::with_capacity(n);
+                for _ in 0..n {
+                    counters.push((d.str()?, d.u64()?));
                 }
-                Frame::MetricsReply(m)
+                let n = d.seq_len(30)?;
+                let mut latencies = Vec::with_capacity(n);
+                for _ in 0..n {
+                    latencies.push((d.str()?, d.latency()?));
+                }
+                Frame::MetricsReply(WireMetrics {
+                    counters,
+                    latencies,
+                })
             }
             FRAME_SNAPSHOT_SESSION => Frame::SnapshotSession { session: d.u64()? },
             FRAME_SESSION_SNAPSHOT => Frame::SessionSnapshot {
                 session: d.u64()?,
                 state: d.session_state()?,
             },
-            FRAME_RESTORE_SESSION => {
-                let mut spec = SessionSpec {
-                    model: d.u8()?,
-                    max_window: d.u32()?,
-                    min_window: d.u32()?,
-                    threshold: d.f64s()?,
-                    cache_capacity: d.u32()?,
-                    output_rows: 0,
-                    output_map: Vec::new(),
-                };
-                let state = d.session_state()?;
-                d.spec_extension(&mut spec)?;
-                Frame::RestoreSession { spec, state }
-            }
+            FRAME_RESTORE_SESSION => Frame::RestoreSession {
+                spec: d.spec()?,
+                state: d.session_state()?,
+            },
             FRAME_ERROR => Frame::Error {
                 code: ErrorCode::from_u8(d.u8()?)?,
                 message: d.str()?,
             },
-            FRAME_REPLICATE_SNAPSHOT => {
-                let key = d.u64()?;
-                let generation = d.u64()?;
-                let mut spec = SessionSpec {
-                    model: d.u8()?,
-                    max_window: d.u32()?,
-                    min_window: d.u32()?,
-                    threshold: d.f64s()?,
-                    cache_capacity: d.u32()?,
-                    output_rows: 0,
-                    output_map: Vec::new(),
-                };
-                let state = d.session_state()?;
-                d.spec_extension(&mut spec)?;
-                Frame::ReplicateSnapshot {
-                    key,
-                    generation,
-                    spec,
-                    state,
-                }
-            }
+            FRAME_REPLICATE_SNAPSHOT => Frame::ReplicateSnapshot {
+                key: d.u64()?,
+                generation: d.u64()?,
+                spec: d.spec()?,
+                state: d.session_state()?,
+            },
             FRAME_REPLICATE_ACK => Frame::ReplicateAck {
                 key: d.u64()?,
                 generation: d.u64()?,
@@ -1755,9 +1514,8 @@ pub fn write_frame_corr<W: Write>(w: &mut W, frame: &Frame, corr: Option<u64>) -
     w.flush()
 }
 
-/// Reads one length-prefixed frame, discarding any correlation id —
-/// the legacy entry point; correlation-aware callers use
-/// [`read_envelope`].
+/// Reads one length-prefixed frame, discarding any correlation id;
+/// correlation-aware callers use [`read_envelope`].
 ///
 /// EOF exactly at a frame boundary is the clean-close signal
 /// [`ReadFrameError::Closed`]; EOF mid-frame is
@@ -1956,35 +1714,21 @@ mod tests {
                 FRAME_SESSION_CLOSED => Frame::SessionClosed { session: 7 },
                 FRAME_METRICS_QUERY => Frame::MetricsQuery,
                 FRAME_METRICS_REPLY => Frame::MetricsReply(WireMetrics {
-                    sessions_active: 3,
-                    ticks_submitted: 1000,
-                    ticks_processed: 998,
-                    alarms_raised: 17,
-                    degraded_ticks: 2,
-                    queue_depth_high_water: 64,
-                    log_latency: latency,
-                    detect_latency: WireLatency {
-                        p99_bound_ns: Some(1 << 20),
-                        ..latency
-                    },
-                    frames_in: 500,
-                    frames_out: 499,
-                    decode_errors: 1,
-                    connections_opened: 4,
-                    connections_dropped: 1,
-                    alloc_free_ticks: 950,
-                    batched_deadline_queries: 31,
-                    sessions_evicted: 2,
-                    shards: 4,
-                    partial_frame_resumes: 87,
-                    sessions_replicated: 996,
-                    failovers: 1,
-                    replication_lag_hwm: 3,
-                    batch_ticks: 4100,
-                    batch_sessions_hwm: 16,
-                    scalar_fallback_ticks: 9,
-                    recalibrations: 5,
-                    recalibrations_rejected: 2,
+                    counters: vec![
+                        ("ticks_processed".into(), 998),
+                        ("alarms_raised".into(), 17),
+                        (String::new(), u64::MAX),
+                    ],
+                    latencies: vec![
+                        ("log".into(), latency),
+                        (
+                            "detect".into(),
+                            WireLatency {
+                                p99_bound_ns: Some(1 << 20),
+                                ..latency
+                            },
+                        ),
+                    ],
                 }),
                 FRAME_SNAPSHOT_SESSION => Frame::SnapshotSession { session: 7 },
                 FRAME_SESSION_SNAPSHOT => Frame::SessionSnapshot {
@@ -1992,7 +1736,7 @@ mod tests {
                     state: sample_state(),
                 },
                 FRAME_RESTORE_SESSION => Frame::RestoreSession {
-                    spec: SessionSpec::model_defaults(3),
+                    spec: SessionSpec::model_defaults(3).with_output_map(1, vec![0.0, 1.0, -0.25]),
                     state: sample_state(),
                 },
                 FRAME_ERROR => Frame::Error {
@@ -2002,8 +1746,9 @@ mod tests {
                 FRAME_REPLICATE_SNAPSHOT => Frame::ReplicateSnapshot {
                     key: (3u64 << 48) | 7,
                     generation: 12,
-                    spec: SessionSpec::model_defaults(3),
-                    state: sample_state(),
+                    spec: SessionSpec::model_defaults(3)
+                        .with_output_map(2, vec![1.0, 0.0, 0.5, 0.0, 1.0, -0.25]),
+                    state: sample_recalibrated_state(),
                 },
                 FRAME_REPLICATE_ACK => Frame::ReplicateAck {
                     key: (3u64 << 48) | 7,
@@ -2070,57 +1815,16 @@ mod tests {
 
     #[test]
     fn truncation_at_every_boundary_errors_without_panic() {
+        // Every frame has one layout, so no proper prefix of an
+        // encoding is itself a frame, with or without a correlation id.
         for frame in sample_frames() {
             let payload = frame.encode();
-            // The *legal* short reads: a MetricsReply cut exactly at an
-            // append-only counter boundary is a valid older reply.
-            // `len - 104` drops all thirteen counters (v1 peer);
-            // `len - 88` keeps the first two (two-counter peer);
-            // `len - 80` keeps the first three (three-counter peer);
-            // `len - 64` keeps the first five (five-counter peer);
-            // `len - 40` keeps the first eight (eight-counter peer);
-            // `len - 16` keeps the first eleven (eleven-counter peer).
-            // Every other counter-dropping cut is NOT legal under
-            // strict decode: the leftover 8 bytes parse as a
-            // correlation id, which `Frame::decode` rejects as
-            // trailing bytes (and a 16-byte leftover is rejected
-            // outright).
-            let legacy_boundaries: Vec<usize> = match &frame {
-                Frame::MetricsReply(_) => vec![
-                    payload.len() - 104,
-                    payload.len() - 88,
-                    payload.len() - 80,
-                    payload.len() - 64,
-                    payload.len() - 40,
-                    payload.len() - 16,
-                ],
-                // A spec frame cut exactly at the start of the
-                // output-map extension is a valid legacy (no-map)
-                // frame; any cut *inside* the extension leaves either
-                // a short f64 run (Truncated) or ≤ 8 trailing bytes
-                // (rejected by strict decode).
-                Frame::OpenSession(spec)
-                | Frame::RestoreSession { spec, .. }
-                | Frame::ReplicateSnapshot { spec, .. }
-                    if !spec.output_map.is_empty() =>
-                {
-                    vec![payload.len() - (8 + 8 * spec.output_map.len())]
-                }
-                _ => Vec::new(),
-            };
             for cut in 0..payload.len() {
-                if legacy_boundaries.contains(&cut) {
-                    assert!(
-                        Frame::decode(&payload[..cut]).is_ok(),
-                        "legacy-boundary cut must decode"
-                    );
-                    continue;
-                }
-                let err =
-                    Frame::decode(&payload[..cut]).expect_err("truncated payload must not decode");
-                // Truncation may surface as Truncated (most cuts) but
-                // never as a panic or a successful decode.
-                let _ = err;
+                assert!(
+                    Frame::decode_enveloped(&payload[..cut]).is_err(),
+                    "{} decoded at cut {cut}",
+                    frame.type_name()
+                );
             }
         }
     }
@@ -2155,10 +1859,8 @@ mod tests {
 
     #[test]
     fn strict_decode_rejects_correlation_ids() {
-        // The strict decoder must not silently absorb the appended
-        // correlation id. (Even on MetricsReply: the thirteen appended
-        // counters are consumed first by the `remaining >= 104` rule,
-        // which leaves the corr id as the trailing 8 bytes.)
+        // The strict decoder must not silently absorb the correlation
+        // id.
         for frame in sample_frames() {
             assert_eq!(
                 Frame::decode(&frame.encode_with_corr(Some(42))),
@@ -2196,9 +1898,9 @@ mod tests {
 
     #[test]
     fn recalibrated_session_state_round_trips() {
-        // The trailing recalibration block survives the wire (tag 3/4/5
-        // scheme) and the runtime-snapshot conversion in both
-        // directions, for every cached-deadline shape.
+        // The recalibration block survives the wire and the
+        // runtime-snapshot conversion in both directions, for every
+        // cached-deadline shape.
         for deadline in [None, Some(None), Some(Some(4))] {
             let wire = WireSessionState {
                 cached_deadline: deadline,
@@ -2221,191 +1923,15 @@ mod tests {
     }
 
     #[test]
-    fn recalibration_block_truncation_never_decodes() {
-        // A tag-3/4/5 state promises a trailing block; any cut that
-        // removes part or all of it must error, never decode as a
-        // legacy (tag-0/1/2) state.
-        let frame = Frame::SessionSnapshot {
-            session: 9,
-            state: sample_recalibrated_state(),
+    fn metrics_are_read_by_name() {
+        let Frame::MetricsReply(m) = &sample_frames()[9] else {
+            panic!("sample 9 is the metrics reply");
         };
-        let payload = frame.encode();
-        // The block is 4 + 4 + (8 + 4*8) + (8 + 2*8) + 8 bytes = 80.
-        for cut in payload.len() - 80..payload.len() {
-            assert!(
-                Frame::decode(&payload[..cut]).is_err(),
-                "cut at {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn never_recalibrated_state_encoding_is_legacy_byte_identical() {
-        // Sessions that never recalibrate must emit the exact bytes a
-        // pre-recalibration peer emits: tag 0/1/2, no trailing block.
-        let state = sample_state();
-        let mut e = Enc::new(FRAME_SESSION_SNAPSHOT);
-        e.u64(9);
-        e.session_state(&state);
-        let modern = Frame::SessionSnapshot { session: 9, state }.encode();
-        assert_eq!(modern, e.buf);
-        // Tag byte sits after the 7-byte header, the session id and
-        // the four u64/f64 state fields plus the complementary flag:
-        // 7 + 8 + 8 + 8 + 8 + 1 + 8 = 48.
-        assert_eq!(modern[48], 2, "Some(Some(_)) deadline must keep tag 2");
-    }
-
-    #[test]
-    fn legacy_metrics_reply_decodes_with_zeroed_appended_counters() {
-        let Frame::MetricsReply(sample) = sample_frames()
-            .into_iter()
-            .find(|f| matches!(f, Frame::MetricsReply(_)))
-            .unwrap()
-        else {
-            unreachable!()
-        };
-        assert!(
-            sample.alloc_free_ticks > 0
-                && sample.batched_deadline_queries > 0
-                && sample.sessions_evicted > 0
-                && sample.shards > 0
-                && sample.partial_frame_resumes > 0
-                && sample.sessions_replicated > 0
-                && sample.failovers > 0
-                && sample.replication_lag_hwm > 0
-                && sample.batch_ticks > 0
-                && sample.batch_sessions_hwm > 0
-                && sample.scalar_fallback_ticks > 0
-                && sample.recalibrations > 0
-                && sample.recalibrations_rejected > 0
-        );
-        let payload = Frame::MetricsReply(sample).encode();
-        // A v1 peer's reply is byte-identical minus the thirteen
-        // appended counters; it must decode with all of them reading
-        // zero and every other field intact.
-        let legacy = &payload[..payload.len() - 104];
-        let Frame::MetricsReply(decoded) = Frame::decode(legacy).unwrap() else {
-            panic!("legacy reply must still be a MetricsReply");
-        };
-        assert_eq!(
-            decoded,
-            WireMetrics {
-                alloc_free_ticks: 0,
-                batched_deadline_queries: 0,
-                sessions_evicted: 0,
-                shards: 0,
-                partial_frame_resumes: 0,
-                sessions_replicated: 0,
-                failovers: 0,
-                replication_lag_hwm: 0,
-                batch_ticks: 0,
-                batch_sessions_hwm: 0,
-                scalar_fallback_ticks: 0,
-                recalibrations: 0,
-                recalibrations_rejected: 0,
-                ..sample
-            }
-        );
-        // A two-counter peer keeps the first two appended counters.
-        let two_counter = &payload[..payload.len() - 88];
-        let Frame::MetricsReply(decoded) = Frame::decode(two_counter).unwrap() else {
-            panic!("two-counter reply must still be a MetricsReply");
-        };
-        assert_eq!(
-            decoded,
-            WireMetrics {
-                sessions_evicted: 0,
-                shards: 0,
-                partial_frame_resumes: 0,
-                sessions_replicated: 0,
-                failovers: 0,
-                replication_lag_hwm: 0,
-                batch_ticks: 0,
-                batch_sessions_hwm: 0,
-                scalar_fallback_ticks: 0,
-                recalibrations: 0,
-                recalibrations_rejected: 0,
-                ..sample
-            }
-        );
-        // A three-counter peer (the revision that predates sharding)
-        // keeps the first three.
-        let three_counter = &payload[..payload.len() - 80];
-        let Frame::MetricsReply(decoded) = Frame::decode(three_counter).unwrap() else {
-            panic!("three-counter reply must still be a MetricsReply");
-        };
-        assert_eq!(
-            decoded,
-            WireMetrics {
-                shards: 0,
-                partial_frame_resumes: 0,
-                sessions_replicated: 0,
-                failovers: 0,
-                replication_lag_hwm: 0,
-                batch_ticks: 0,
-                batch_sessions_hwm: 0,
-                scalar_fallback_ticks: 0,
-                recalibrations: 0,
-                recalibrations_rejected: 0,
-                ..sample
-            }
-        );
-        // A five-counter peer (the revision that predates clustering)
-        // drops the replication triple and the batch triple.
-        let five_counter = &payload[..payload.len() - 64];
-        let Frame::MetricsReply(decoded) = Frame::decode(five_counter).unwrap() else {
-            panic!("five-counter reply must still be a MetricsReply");
-        };
-        assert_eq!(
-            decoded,
-            WireMetrics {
-                sessions_replicated: 0,
-                failovers: 0,
-                replication_lag_hwm: 0,
-                batch_ticks: 0,
-                batch_sessions_hwm: 0,
-                scalar_fallback_ticks: 0,
-                recalibrations: 0,
-                recalibrations_rejected: 0,
-                ..sample
-            }
-        );
-        // An eight-counter peer (the revision that predates batch
-        // stepping) drops the batch triple and the recalibration pair.
-        let eight_counter = &payload[..payload.len() - 40];
-        let Frame::MetricsReply(decoded) = Frame::decode(eight_counter).unwrap() else {
-            panic!("eight-counter reply must still be a MetricsReply");
-        };
-        assert_eq!(
-            decoded,
-            WireMetrics {
-                batch_ticks: 0,
-                batch_sessions_hwm: 0,
-                scalar_fallback_ticks: 0,
-                recalibrations: 0,
-                recalibrations_rejected: 0,
-                ..sample
-            }
-        );
-        // An eleven-counter peer (the revision that predates drift
-        // recalibration) drops only the recalibration pair.
-        let eleven_counter = &payload[..payload.len() - 16];
-        let Frame::MetricsReply(decoded) = Frame::decode(eleven_counter).unwrap() else {
-            panic!("eleven-counter reply must still be a MetricsReply");
-        };
-        assert_eq!(
-            decoded,
-            WireMetrics {
-                recalibrations: 0,
-                recalibrations_rejected: 0,
-                ..sample
-            }
-        );
-        // And a current reply round-trips the counters verbatim.
-        let Frame::MetricsReply(full) = Frame::decode(&payload).unwrap() else {
-            panic!("full reply must decode");
-        };
-        assert_eq!(full, sample);
+        assert_eq!(m.counter("alarms_raised"), Some(17));
+        assert_eq!(m.counter(""), Some(u64::MAX));
+        assert_eq!(m.counter("alarm_raised"), None, "a misspelt name");
+        assert_eq!(m.latency("detect").unwrap().p99_bound_ns, Some(1 << 20));
+        assert_eq!(m.latency("decode"), None);
     }
 
     #[test]
@@ -2418,8 +1944,20 @@ mod tests {
         payload[4] = 0x7f; // version hi byte
         assert_eq!(
             Frame::decode(&payload),
-            Err(WireError::UnsupportedVersion(0x7f01))
+            Err(WireError::UnsupportedVersion(0x7f02))
         );
+
+        // A v1 peer is refused at the header, whatever the frame.
+        for frame in sample_frames() {
+            let mut payload = frame.encode_with_corr(Some(3));
+            payload[4..6].copy_from_slice(&1u16.to_be_bytes());
+            assert_eq!(
+                Frame::decode_enveloped(&payload),
+                Err(WireError::UnsupportedVersion(1)),
+                "{}",
+                frame.type_name()
+            );
+        }
     }
 
     #[test]
@@ -2616,60 +2154,5 @@ mod tests {
             .and_then(|i| i.downcast_ref::<WireError>())
             .expect("wire error preserved");
         assert!(matches!(inner, WireError::LengthOverflow { what, .. } if *what == "outcomes"));
-    }
-
-    /// The output-map spec extension survives every carrying frame,
-    /// with and without a correlation id (the id follows the
-    /// extension, so this pins the disambiguation rule: remaining > 8
-    /// means extension, remaining == 8 means id).
-    #[test]
-    fn output_map_extension_round_trips_in_all_spec_frames() {
-        let spec =
-            SessionSpec::model_defaults(3).with_output_map(2, vec![1.0, 0.0, 0.5, 0.0, 1.0, -0.25]);
-        let frames = [
-            Frame::OpenSession(spec.clone()),
-            Frame::RestoreSession {
-                spec: spec.clone(),
-                state: sample_state(),
-            },
-            Frame::ReplicateSnapshot {
-                key: 42,
-                generation: 3,
-                spec,
-                state: sample_state(),
-            },
-        ];
-        for f in &frames {
-            assert_eq!(&Frame::decode(&f.encode()).unwrap(), f);
-            let env = Frame::decode_enveloped(&f.encode_with_corr(Some(0xC0FFEE))).unwrap();
-            assert_eq!(&env.frame, f);
-            assert_eq!(env.corr, Some(0xC0FFEE));
-        }
-    }
-
-    /// A spec without an output map encodes byte-identically to the
-    /// pre-extension wire format (no trailing bytes at all), and such
-    /// legacy frames decode to the `C = I` sentinel.
-    #[test]
-    fn legacy_spec_frames_have_no_extension_bytes() {
-        let legacy = Frame::OpenSession(SessionSpec::model_defaults(2));
-        let bytes = legacy.encode();
-        // Header (4 magic + 2 version + 1 type) + body:
-        // u8 model + u32 max + u32 min + (u32 len) + u32 cache.
-        assert_eq!(bytes.len(), 7 + 1 + 4 + 4 + 4 + 4);
-        let decoded = Frame::decode(&bytes).unwrap();
-        let Frame::OpenSession(spec) = decoded else {
-            panic!("wrong frame");
-        };
-        assert_eq!(spec.output_rows, 0);
-        assert!(spec.output_map.is_empty());
-        // With a correlation id the 8 trailing bytes still route to
-        // the envelope, not the extension.
-        let env = Frame::decode_enveloped(&legacy.encode_with_corr(Some(9))).unwrap();
-        assert_eq!(env.corr, Some(9));
-        let Frame::OpenSession(spec) = env.frame else {
-            panic!("wrong frame");
-        };
-        assert!(spec.output_map.is_empty());
     }
 }

@@ -1,7 +1,7 @@
-//! Property-based coverage for the wire protocol: every one of the 14
-//! frame types round-trips through its envelope bit-exactly, and no
-//! byte soup — random or structure-aware-mutated — can panic the
-//! decoder.
+//! Property-based coverage for the wire protocol: every one of the 20
+//! frame types round-trips through its envelope bit-exactly, no
+//! proper prefix of a frame decodes, and no byte soup — random or
+//! structure-aware-mutated — can panic the decoder.
 //!
 //! The frame generator lives in `awsad-testkit` (shared with the fuzz
 //! binary), seeded here from proptest-drawn `u64`s so each property
@@ -87,6 +87,31 @@ proptest! {
                 prop_assert_eq!(max, DEFAULT_MAX_FRAME_LEN);
             }
             other => prop_assert!(false, "expected FrameTooLarge, got {:?}", other),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No proper prefix of a frame decodes, through either entry
+    /// point: each frame has one layout, so a cut frame is never
+    /// mistaken for a shorter one or for one carrying a correlation
+    /// id.
+    #[test]
+    fn no_proper_prefix_decodes(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let frame = arbitrary_frame(&mut rng);
+        let bytes = frame.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                Frame::decode(&bytes[..cut]).is_err(),
+                "{} decoded at cut {}", frame.type_name(), cut
+            );
+            prop_assert!(
+                Frame::decode_enveloped(&bytes[..cut]).is_err(),
+                "{} decoded enveloped at cut {}", frame.type_name(), cut
+            );
         }
     }
 }

@@ -125,25 +125,14 @@ fn arbitrary_outcome(rng: &mut StdRng) -> WireOutcome {
 }
 
 fn arbitrary_spec(rng: &mut StdRng) -> SessionSpec {
-    // The output-map extension is only written when the map is
-    // non-empty, and the decoder leaves `output_rows` at 0 for legacy
-    // frames — so a round-trippable spec either carries no map at all
-    // (rows 0) or a non-empty map with a non-zero row count.
-    let (output_rows, output_map) = if rng.random_bool(0.5) {
-        (0, Vec::new())
-    } else {
-        let rows = rng.random_range(1..=3u32);
-        let cols = rng.random_range(1..=4usize);
-        (rows, arbitrary_f64s(rng, rows as usize * cols))
-    };
     SessionSpec {
         model: rng.random_range(0..=u8::MAX),
         max_window: rng.random_range(0..=u32::MAX),
         min_window: rng.random_range(0..=u32::MAX),
         threshold: arbitrary_f64s(rng, 6),
         cache_capacity: rng.random_range(0..=u32::MAX),
-        output_rows,
-        output_map,
+        output_rows: rng.random_range(0..=u32::MAX),
+        output_map: arbitrary_f64s(rng, 12),
     }
 }
 
@@ -167,32 +156,12 @@ fn arbitrary_latency(rng: &mut StdRng) -> WireLatency {
 
 fn arbitrary_metrics(rng: &mut StdRng) -> WireMetrics {
     WireMetrics {
-        sessions_active: rng.random_range(0..=u64::MAX),
-        ticks_submitted: rng.random_range(0..=u64::MAX),
-        ticks_processed: rng.random_range(0..=u64::MAX),
-        alarms_raised: rng.random_range(0..=u64::MAX),
-        degraded_ticks: rng.random_range(0..=u64::MAX),
-        queue_depth_high_water: rng.random_range(0..=u64::MAX),
-        log_latency: arbitrary_latency(rng),
-        detect_latency: arbitrary_latency(rng),
-        frames_in: rng.random_range(0..=u64::MAX),
-        frames_out: rng.random_range(0..=u64::MAX),
-        decode_errors: rng.random_range(0..=u64::MAX),
-        connections_opened: rng.random_range(0..=u64::MAX),
-        connections_dropped: rng.random_range(0..=u64::MAX),
-        alloc_free_ticks: rng.random_range(0..=u64::MAX),
-        batched_deadline_queries: rng.random_range(0..=u64::MAX),
-        sessions_evicted: rng.random_range(0..=u64::MAX),
-        shards: rng.random_range(0..=u64::MAX),
-        partial_frame_resumes: rng.random_range(0..=u64::MAX),
-        sessions_replicated: rng.random_range(0..=u64::MAX),
-        failovers: rng.random_range(0..=u64::MAX),
-        replication_lag_hwm: rng.random_range(0..=u64::MAX),
-        batch_ticks: rng.random_range(0..=u64::MAX),
-        batch_sessions_hwm: rng.random_range(0..=u64::MAX),
-        scalar_fallback_ticks: rng.random_range(0..=u64::MAX),
-        recalibrations: rng.random_range(0..=u64::MAX),
-        recalibrations_rejected: rng.random_range(0..=u64::MAX),
+        counters: (0..rng.random_range(0..30usize))
+            .map(|_| (arbitrary_string(rng, 24), rng.random_range(0..=u64::MAX)))
+            .collect(),
+        latencies: (0..rng.random_range(0..4usize))
+            .map(|_| (arbitrary_string(rng, 12), arbitrary_latency(rng)))
+            .collect(),
     }
 }
 
@@ -341,7 +310,7 @@ pub fn arbitrary_frame(rng: &mut StdRng) -> Frame {
     }
 }
 
-/// A random correlation id (or none, for the legacy envelope shape).
+/// A random correlation id, or none (a corr-less frame).
 pub fn arbitrary_corr(rng: &mut StdRng) -> Option<u64> {
     if rng.random_bool(0.5) {
         Some(rng.random_range(0..=u64::MAX))

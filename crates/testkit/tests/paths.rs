@@ -89,7 +89,7 @@ fn random_lti_scenarios_agree_on_every_local_path() {
 }
 
 /// The per-sensor families carry their output map in the wire spec, so
-/// the wire paths exercise the spec-extension encoding end to end; the
+/// the wire paths exercise the output-map encoding end to end; the
 /// map is scenario metadata and may not perturb a single output bit.
 #[test]
 fn sensor_and_severe_scenarios_agree_on_every_path() {

@@ -4,8 +4,9 @@
 //! client, opens one remote session per plant family, and streams
 //! each session a seeded attack episode in batches. Everything the
 //! client sees — alarms, windows, deadlines — travelled through the
-//! versioned binary wire protocol; the final metrics query shows the
-//! engine counters next to the server's transport counters.
+//! versioned binary wire protocol; the final metrics query prints
+//! every counter and latency stage the server names, engine and
+//! transport alike.
 //!
 //! Run with `cargo run --release --example serve_demo`.
 
@@ -92,29 +93,19 @@ fn main() {
     }
 
     let m = client.metrics().expect("metrics");
-    println!("\nserver metrics (engine | transport)");
-    println!("  ticks processed        {}", m.ticks_processed);
-    println!("  alarms raised          {}", m.alarms_raised);
-    println!("  degraded ticks         {}", m.degraded_ticks);
-    println!("  queue high-water       {}", m.queue_depth_high_water);
-    for (name, lat) in [
-        ("log stage", m.log_latency),
-        ("detect stage", m.detect_latency),
-    ] {
+    println!("\nserver metrics, by name");
+    for (name, value) in &m.counters {
+        println!("  {name:<26} {value}");
+    }
+    for (name, lat) in &m.latencies {
         println!(
-            "  {name:<14} mean {:>8.0} ns, p99 ≤ {}",
+            "  {name:<6} stage mean {:>8.0} ns, p99 ≤ {}",
             lat.mean_ns,
             lat.p99_bound_ns
                 .map(|b| format!("{b} ns"))
                 .unwrap_or_else(|| "overflow".into()),
         );
     }
-    println!("  frames in/out          {}/{}", m.frames_in, m.frames_out);
-    println!("  decode errors          {}", m.decode_errors);
-    println!(
-        "  connections            {} opened, {} dropped",
-        m.connections_opened, m.connections_dropped
-    );
 
     server.shutdown();
     println!("\nserver shut down cleanly");
